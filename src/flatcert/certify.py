@@ -8,6 +8,12 @@ max(arc distance, twist gap).  When the two meet, the grid carries the
 max-metric exactly, which makes the embedding (1, 0)-quasi-isometric for
 the max metric and (2, 0) for the l1 product metric.
 
+The arc distances come from one BFS ball around the ray start, the ball
+that extended the ray: it gives d(ray[0], ray[j]) = j, and with adjacency
+of consecutive ray vertices the triangle inequality forces
+d(ray[i], ray[j]) = |i - j| for every pair.  No ball is built per ray
+vertex.
+
 Certificates are plain data and serialize to byte-identical JSON given the
 same inputs (schema id "flatcert/1").
 """
@@ -144,20 +150,14 @@ def _model_graph(model: str, height_cap: int) -> tuple[ImplicitGraph, Callable]:
     raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
-def extend_geodesic_ray(
+def _ray_and_ball(
     farey: FareyGraph,
     seed_pair: tuple[Slope, Slope],
     length: int,
-    *,
-    max_visited: int = engine.DEFAULT_MAX_VISITED,
-) -> list[Slope]:
-    """Greedily extend a disjoint seed pair to a BFS-certified geodesic ray.
-
-    Each new vertex is the Stern-Brocot-least neighbor of the current tip
-    whose distance from the ray start, recomputed by BFS, is one more than
-    the tip's.  Together with adjacency of consecutive vertices this pins
-    d(ray[i], ray[j]) = |i - j| for all i, j by the triangle inequality.
-    """
+    max_visited: int,
+) -> tuple[list[Slope], dict[Slope, int]]:
+    """The greedy ray of :func:`extend_geodesic_ray` and the BFS ball of
+    radius ``length`` around its start that chose it."""
     start, second = seed_pair
     if start == second or not disjoint(start, second):
         raise ValueError("seed pair must be two distinct disjoint slopes")
@@ -174,7 +174,48 @@ def extend_geodesic_ray(
                 break
         else:
             raise RayExtensionError(ray, length)
-    return ray
+    return ray, from_start
+
+
+def extend_geodesic_ray(
+    farey: FareyGraph,
+    seed_pair: tuple[Slope, Slope],
+    length: int,
+    *,
+    max_visited: int = engine.DEFAULT_MAX_VISITED,
+) -> list[Slope]:
+    """Greedily extend a disjoint seed pair to a BFS-certified geodesic ray.
+
+    Each new vertex is the Stern-Brocot-least neighbor of the current tip
+    whose distance from the ray start, read from one BFS ball around the
+    start, is one more than the tip's.  Together with adjacency of
+    consecutive vertices this pins d(ray[i], ray[j]) = |i - j| for all
+    i, j by the triangle inequality.
+    """
+    return _ray_and_ball(farey, seed_pair, length, max_visited)[0]
+
+
+def check_ray_row(
+    farey: FareyGraph, ray: Sequence[Slope], from_start: dict[Slope, int]
+) -> None:
+    """Check the evidence that makes ``ray`` a geodesic segment.
+
+    ``from_start`` is a BFS ball around ray[0] in ``farey``.  Requires
+    d(ray[0], ray[j]) = j for every j (row 0 of the arc matrix) and
+    consecutive ray vertices to be adjacent.  Then d(ray[i], ray[j]) <=
+    |i - j| along the ray, and d(ray[0], ray[j]) <= i + d(ray[i], ray[j])
+    gives the reverse bound, so every entry equals |i - j|.  Raises
+    CertificationError otherwise.
+    """
+    for j, v in enumerate(ray):
+        if from_start.get(v) != j:
+            raise CertificationError(
+                f"ray is not geodesic: d({ray[0]}, {v}) is "
+                f"{from_start.get(v)}, not {j}"
+            )
+    for u, v in zip(ray, ray[1:]):
+        if not farey.adjacent(u, v):
+            raise CertificationError(f"ray step {u} -> {v} is not an edge")
 
 
 def _staircase(
@@ -219,26 +260,13 @@ def certify_flat(
     farey = FareyGraph(height_cap)
     graph, make = _model_graph(model, height_cap)
 
-    ray = extend_geodesic_ray(farey, seed_pair, n, max_visited=max_visited)
+    ray, from_start = _ray_and_ball(farey, seed_pair, n, max_visited)
 
-    # Exact all-pairs arc distances along the ray, one BFS ball per vertex.
-    balls = []
-    explored = 0
-    for s in ray:
-        b = engine.ball(farey, s, n, max_visited=max_visited)
-        explored += len(b)
-        balls.append(b)
-    matrix = []
-    for i, b in enumerate(balls):
-        row = []
-        for j, t in enumerate(ray):
-            d = 0 if i == j else b.get(t)
-            if d is None or d != abs(i - j):
-                raise CertificationError(
-                    f"ray is not geodesic: d({ray[i]}, {t}) != {abs(i - j)}"
-                )
-            row.append(d)
-        matrix.append(tuple(row))
+    # Exact all-pairs arc distances along the ray: row 0 from the one BFS
+    # ball around ray[0] plus adjacency of consecutive vertices force
+    # d(ray[i], ray[j]) = |i - j| by the triangle inequality.
+    check_ray_row(farey, ray, from_start)
+    matrix = [tuple(abs(i - j) for j in range(n + 1)) for i in range(n + 1)]
 
     # Pin every grid pair: witness staircase above, projection bound below.
     coords = [(i, j) for i in range(n + 1) for j in range(n + 1)]
@@ -316,8 +344,8 @@ def certify_flat(
         l1_constants=(2, 0),
         spot_checks=tuple(checks),
         stats={
-            "farey_balls": len(ray) + 1,
-            "farey_vertices_explored": explored,
+            "farey_balls": 1,
+            "farey_vertices_explored": len(from_start),
             "grid_pairs": len(entries),
             "spot_checks": len(checks),
         },

@@ -13,6 +13,7 @@ section of `key = value` lines; command-line flags win)::
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -96,8 +97,23 @@ def build_graph(kind: str, height_cap: int):
     raise UsageError(f"unknown graph {kind!r}; expected one of {GRAPH_KINDS}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads any token that starts with "-" and a digit as an argument.
+
+    argparse takes only plain negative numbers such as -2 for positionals
+    or option values (its ``_negative_number_matcher``), so a negative
+    slope (-2/5) or spotted arc (-2/5@3) would be read as an unknown
+    option.  No flatcert option starts with a digit.  Subparsers inherit
+    the parser class, so this holds for every subcommand.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flatcert",
         description="Exact distances, balls and certified flat grids in "
         "twist-decorated disk and sphere graph models.",

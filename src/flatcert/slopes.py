@@ -123,30 +123,51 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 def farey_neighbors(a: Slope, height_cap: int) -> list[Slope]:
     """All slopes b != a with pairing(a, b) = 1 and height(b) <= height_cap.
 
-    Solutions of the two linear Diophantine families p*y - q*x = +-1 are
-    enumerated directly, so the cost is proportional to the output size.
-    Returned in Stern-Brocot order.
+    A neighbor x/y of a = p/q solves p*y - q*x = +-1, so x and y are coprime
+    and the slope is built without reducing.  The cost is proportional to
+    the output size.  Returned in Stern-Brocot order.
     """
     if height_cap < 1:
         raise ValueError("height_cap must be >= 1")
     cap = height_cap
     if a.is_infinity:
-        found = {canonicalize(n, 1) for n in range(-cap, cap + 1)}
-    else:
-        p, q = a.p, a.q
-        g, s, t = _egcd(p, q)
-        assert g == 1
-        found = set()
-        for eps in (1, -1):
-            # base solution of p*y - q*x = eps, family (x0 + k*p, y0 + k*q)
-            x0, y0 = -t * eps, s * eps
-            k_lo = -((cap + y0) // q)
-            k_hi = (cap - y0) // q
-            for k in range(k_lo, k_hi + 1):
-                x, y = x0 + k * p, y0 + k * q
+        return sorted((Slope(n, 1) for n in range(-cap, cap + 1)), key=stern_brocot_key)
+    p, q = a.p, a.q
+    if q == 1:
+        # a = p/1: infinity and (p*y - 1)/y, (p*y + 1)/y for y >= 1
+        found = [INFINITY]
+        for y in range(1, cap + 1):
+            for x in (p * y - 1, p * y + 1):
                 if abs(x) <= cap:
-                    found.add(canonicalize(x, y))
-    return sorted(found, key=stern_brocot_key)
+                    found.append(Slope(x, y))
+        return sorted(found, key=stern_brocot_key)
+    # a is not an integer.  Its neighbors are its two parents in the
+    # mediant tree, L = xl/yl below a and R = (p-xl)/(q-yl) above it, where
+    # p*yl - q*xl = 1 and 0 < yl < q, and the chains L + m*a and R + m*a for
+    # m >= 1 (numerators and denominators added).  One parent is the
+    # mediant of the other and an older slope, so it has the larger
+    # |x| + y and sits deeper, but both are shallower than a.  The two
+    # chain slopes for m sit m levels below a, the L one numerically first.
+    # The parents lie on a's side of 0 (or at 0), so each step along a
+    # chain adds |p| to |x| and q to y, and a chain ends at its first slope
+    # over the cap.
+    g, s, _ = _egcd(p, q)
+    assert g == 1
+    yl = s % q
+    xl = (p * yl - 1) // q
+    xr, yr = p - xl, q - yl
+    last_l = min((cap - abs(xl)) // abs(p), (cap - yl) // q)
+    last_r = min((cap - abs(xr)) // abs(p), (cap - yr) // q)
+    parents = [(xl, yl, last_l), (xr, yr, last_r)]
+    if abs(xr) + yr < abs(xl) + yl:
+        parents.reverse()
+    found = [Slope(x, y) for x, y, last in parents if last >= 0]
+    for m in range(1, max(last_l, last_r) + 1):
+        if m <= last_l:
+            found.append(Slope(xl + m * p, yl + m * q))
+        if m <= last_r:
+            found.append(Slope(xr + m * p, yr + m * q))
+    return found
 
 
 class TwistUnit(Enum):

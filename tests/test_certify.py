@@ -15,6 +15,8 @@ from flatcert import (
     parse_spotted_sphere,
     run_suite,
 )
+from flatcert.certify import CertificationError, check_ray_row
+from flatcert.engine import ball
 from util import S
 
 
@@ -46,6 +48,32 @@ class TestRayExtension:
             extend_geodesic_ray(farey, (S(0, 1), S(2, 5)), 3)
         with pytest.raises(ValueError):
             extend_geodesic_ray(farey, (S(0, 1), S(34, 55)), 3)
+
+
+class TestRayRowCheck:
+    def test_rejects_non_adjacent_step(self):
+        # d(0/1, 1/1) = 1 and d(0/1, 2/5) = 2 as row 0 requires, but 1/1 and
+        # 2/5 are not adjacent, so the triangle inequality pins nothing.
+        farey = FareyGraph(16)
+        ray = [S(0, 1), S(1, 1), S(2, 5)]
+        from_start = ball(farey, ray[0], 2)
+        assert [from_start[v] for v in ray] == [0, 1, 2]
+        with pytest.raises(CertificationError, match="not an edge"):
+            check_ray_row(farey, ray, from_start)
+
+    def test_rejects_wrong_ball_distance(self):
+        # Every step is an edge, but 0/1 -> inf -> 1/1 turns back: 1/1 is at
+        # distance 1 from 0/1, not 2.
+        farey = FareyGraph(16)
+        ray = [S(0, 1), INFINITY, S(1, 1)]
+        with pytest.raises(CertificationError, match="not geodesic"):
+            check_ray_row(farey, ray, ball(farey, ray[0], 2))
+
+    def test_rejects_vertex_outside_ball(self):
+        farey = FareyGraph(64)
+        ray = extend_geodesic_ray(farey, (S(0, 1), INFINITY), 4)
+        with pytest.raises(CertificationError, match="not geodesic"):
+            check_ray_row(farey, ray, ball(farey, ray[0], 3))
 
 
 class TestCertifyFlat:
@@ -115,6 +143,14 @@ class TestCertifyFlat:
             certify_flat(20, (S(0, 1), INFINITY), distance_cap=16)
         with pytest.raises(ValueError):
             certify_flat(3, (S(0, 1), INFINITY), model="torus")
+
+    def test_stats_describe_the_one_ray_ball(self):
+        n, cap = 4, 64
+        cert = certify_flat(n, (S(0, 1), INFINITY), height_cap=cap)
+        farey = FareyGraph(cap)
+        assert cert.stats["farey_balls"] == 1
+        assert cert.stats["farey_vertices_explored"] == len(ball(farey, S(0, 1), n))
+        assert json.loads(cert.to_json())["stats"] == cert.stats
 
     def test_tight_height_cap_reports_partial_ray(self):
         with pytest.raises(RayExtensionError):

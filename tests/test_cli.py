@@ -33,6 +33,26 @@ class TestBasicCommands:
         )
         assert code == 0 and out.strip() == "5"
 
+    def test_negative_slopes_are_positionals(self, capsys):
+        code, out, _ = run_cli(capsys, "farey", "dist", "0/1", "-2/5", "--cap", "5")
+        assert code == 0 and out.strip() == "2"
+        code, out, _ = run_cli(capsys, "farey", "dist", "-2/5", "-1/3")
+        assert code == 0 and out.strip() == "1"
+        code, out, _ = run_cli(capsys, "farey", "geodesic", "0/1", "-2/5")
+        assert code == 0 and out.split() == ["0/1", "-1/2", "-2/5"]
+
+    def test_negative_spotted_arcs_are_positionals(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "omega", "dist", "-1/2@-5", "0/1@0", "--cap", "8", "--height-cap", "8"
+        )
+        assert code == 0 and out.strip() == "5"
+
+    def test_double_dash_still_ends_options(self, capsys):
+        code, out, _ = run_cli(capsys, "farey", "dist", "--cap", "5", "--", "0/1", "-2/5")
+        assert code == 0 and out.strip() == "2"
+        code, out, _ = run_cli(capsys, "omega", "dist", "--", "0/1@0", "-1/2@5")
+        assert code == 0 and out.strip() == "5"
+
     def test_omega_ball_sorted(self, capsys):
         code, out, _ = run_cli(
             capsys, "omega", "ball", "0/1@0", "1", "--height-cap", "2"

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,12 +25,38 @@ from flatcert import (
     spot_forget,
     stern_brocot_key,
 )
-from oracles import neighbors_bf
+from oracles import all_slopes, neighbors_bf
 from util import S, random_half_arc, random_slope
 
 nonzero_pairs = st.tuples(
     st.integers(-400, 400), st.integers(-400, 400)
 ).filter(lambda t: t != (0, 0))
+
+
+def _canonical_pairs(height):
+    return st.tuples(
+        st.integers(-height, height), st.integers(1, height)
+    ).filter(lambda t: math.gcd(abs(t[0]), t[1]) == 1)
+
+
+# Canonical (p, q) of height up to 10**9; the small ones have many neighbors
+# under caps up to 300.
+huge_slopes = st.one_of(
+    st.just((1, 0)), _canonical_pairs(10**9), _canonical_pairs(300)
+)
+
+
+def _raw_stern_brocot_key(pq):
+    """Infinity first, then depth (sum of continued-fraction quotients of
+    |p|/q), then numeric value."""
+    p, q = pq
+    if q == 0:
+        return (-1, Fraction(0))
+    a, b, depth = abs(p), q, 0
+    while b:
+        depth += a // b
+        a, b = b, a % b
+    return (depth, Fraction(p, q))
 
 
 class TestCanonicalize:
@@ -120,6 +148,39 @@ class TestFareyNeighbors:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             farey_neighbors(S(0, 1), 0)
+
+    def test_every_small_slope_and_cap_against_brute_force(self):
+        for p, q in all_slopes(13):
+            a = S(p, q)
+            for cap in range(1, 14):
+                out = farey_neighbors(a, cap)
+                got = [(s.p, s.q) for s in out]
+                assert len(set(got)) == len(got), (a, cap)
+                assert sorted(got) == neighbors_bf((p, q), cap), (a, cap)
+                assert out == sorted(out, key=stern_brocot_key), (a, cap)
+
+    @given(huge_slopes, st.integers(1, 300))
+    def test_huge_slopes_against_denominator_scan(self, pq, cap):
+        p, q = pq
+        # Raw-integer scan: for each denominator y, the numerators x with
+        # p*y - q*x = +-1 and |x| <= cap, kept in canonical form.
+        expected = set()
+        for y in range(cap + 1):
+            if q == 0:
+                if y == 1:
+                    expected.update((x, 1) for x in range(-cap, cap + 1))
+                continue
+            for eps in (1, -1):
+                num = p * y - eps
+                if num % q == 0 and abs(num // q) <= cap:
+                    x = num // q
+                    if y > 0 or x == 1:
+                        expected.add((x, y))
+        out = farey_neighbors(canonicalize(p, q), cap)
+        got = [(s.p, s.q) for s in out]
+        assert len(set(got)) == len(got)
+        assert set(got) == expected
+        assert got == sorted(got, key=_raw_stern_brocot_key)
 
 
 class TestTwistActions:
