@@ -58,6 +58,7 @@ from .slopes import (
     UnitError,
     canonicalize,
     disjoint,
+    farey_distance,
     farey_neighbors,
     format_slope,
     format_spotted_arc,

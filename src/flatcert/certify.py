@@ -1,18 +1,20 @@
 """Certified flat grids in the twist-decorated disk and sphere graph models.
 
-The certifier extends a disjoint seed pair of slopes to a BFS-verified
-geodesic ray in the Farey graph, crosses it with a twist interval, and pins
-every pairwise distance on the resulting grid between an explicit witness
-path (upper bound) and the coordinate-projection lower bound
-max(arc distance, twist gap).  When the two meet, the grid carries the
-max-metric exactly, which makes the embedding (1, 0)-quasi-isometric for
-the max metric and (2, 0) for the l1 product metric.
+The certifier extends a disjoint seed pair of slopes to a geodesic ray in
+the Farey graph, crosses it with a twist interval, and pins every pairwise
+distance on the resulting grid between an explicit witness path (upper
+bound) and the coordinate-projection lower bound max(arc distance, twist
+gap).  When the two meet, the grid carries the max-metric exactly, which
+makes the embedding (1, 0)-quasi-isometric for the max metric and (2, 0)
+for the l1 product metric.
 
-The arc distances come from one BFS ball around the ray start, the ball
-that extended the ray: it gives d(ray[0], ray[j]) = j, and with adjacency
-of consecutive ray vertices the triangle inequality forces
-d(ray[i], ray[j]) = |i - j| for every pair.  No ball is built per ray
-vertex.
+The ray is chosen and checked by the continued-fraction distance oracle
+:func:`~flatcert.slopes.farey_distance`, with no BFS ball.  The oracle
+gives the uncapped distance d(ray[0], ray[j]), a lower bound on the capped
+one, and the ray meets it, so d(ray[0], ray[j]) = j; with adjacency of
+consecutive ray vertices the triangle inequality forces
+d(ray[i], ray[j]) = |i - j| for every pair.  BFS in the model graph only
+recomputes a seeded sample of grid entries as spot checks.
 
 Certificates are plain data and serialize to byte-identical JSON given the
 same inputs (schema id "flatcert/1").
@@ -23,13 +25,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import engine
 from .engine import ImplicitGraph
 from .fareygraph import FareyGraph
 from .handlebody import SpottedDisk, SpottedDiskGraph
-from .slopes import Slope, disjoint, format_slope
+from .slopes import Slope, disjoint, farey_distance, format_slope
 from .spheres import SphereGraph, SpottedSphere
 
 PREAMBLE = (
@@ -150,62 +152,61 @@ def _model_graph(model: str, height_cap: int) -> tuple[ImplicitGraph, Callable]:
     raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
-def _ray_and_ball(
+def extend_geodesic_ray(
     farey: FareyGraph,
     seed_pair: tuple[Slope, Slope],
     length: int,
-    max_visited: int,
-) -> tuple[list[Slope], dict[Slope, int]]:
-    """The greedy ray of :func:`extend_geodesic_ray` and the BFS ball of
-    radius ``length`` around its start that chose it."""
+    *,
+    distances: dict[Slope, int] | None = None,
+) -> list[Slope]:
+    """Greedily extend a disjoint seed pair to a geodesic ray in ``farey``.
+
+    Each new vertex is the Stern-Brocot-least neighbor of the current tip
+    whose exact Farey distance from the ray start (:func:`farey_distance`,
+    a continued-fraction computation) is one more than the tip's.  That
+    distance is taken without the height cap, so it is a lower bound on the
+    capped one, and the ray itself is a capped path of the same length:
+    the two meet, and d(ray[0], ray[j]) = j in the capped graph.  With
+    adjacency of consecutive vertices the triangle inequality then pins
+    d(ray[i], ray[j]) = |i - j| for all i, j.  No BFS ball is built.
+
+    ``distances``, if given, receives the oracle distance of every slope
+    evaluated as a candidate.
+    """
     start, second = seed_pair
     if start == second or not disjoint(start, second):
         raise ValueError("seed pair must be two distinct disjoint slopes")
     for s in seed_pair:
         if not farey.contains(s):
             raise ValueError(f"seed slope {s} exceeds height cap {farey.height_cap}")
-    from_start = engine.ball(farey, start, length, max_visited=max_visited)
+    if distances is None:
+        distances = {}
     ray = [start, second]
     while len(ray) <= length:
         wanted = len(ray)
         for candidate in farey.neighbors(ray[-1]):
-            if from_start.get(candidate) == wanted:
+            distances[candidate] = farey_distance(start, candidate)
+            if distances[candidate] == wanted:
                 ray.append(candidate)
                 break
         else:
             raise RayExtensionError(ray, length)
-    return ray, from_start
-
-
-def extend_geodesic_ray(
-    farey: FareyGraph,
-    seed_pair: tuple[Slope, Slope],
-    length: int,
-    *,
-    max_visited: int = engine.DEFAULT_MAX_VISITED,
-) -> list[Slope]:
-    """Greedily extend a disjoint seed pair to a BFS-certified geodesic ray.
-
-    Each new vertex is the Stern-Brocot-least neighbor of the current tip
-    whose distance from the ray start, read from one BFS ball around the
-    start, is one more than the tip's.  Together with adjacency of
-    consecutive vertices this pins d(ray[i], ray[j]) = |i - j| for all
-    i, j by the triangle inequality.
-    """
-    return _ray_and_ball(farey, seed_pair, length, max_visited)[0]
+    return ray
 
 
 def check_ray_row(
-    farey: FareyGraph, ray: Sequence[Slope], from_start: dict[Slope, int]
+    farey: FareyGraph, ray: Sequence[Slope], from_start: Mapping[Slope, int]
 ) -> None:
     """Check the evidence that makes ``ray`` a geodesic segment.
 
-    ``from_start`` is a BFS ball around ray[0] in ``farey``.  Requires
-    d(ray[0], ray[j]) = j for every j (row 0 of the arc matrix) and
-    consecutive ray vertices to be adjacent.  Then d(ray[i], ray[j]) <=
-    |i - j| along the ray, and d(ray[0], ray[j]) <= i + d(ray[i], ray[j])
-    gives the reverse bound, so every entry equals |i - j|.  Raises
-    CertificationError otherwise.
+    ``from_start`` maps slopes to lower bounds on their capped distance
+    from ray[0] in ``farey``: a BFS ball around ray[0], or values of
+    :func:`farey_distance`.  Requires the bound for ray[j] to be j for every
+    j (row 0 of the arc matrix) and consecutive ray vertices to be
+    adjacent.  The ray then gives the matching upper bound, so
+    d(ray[0], ray[j]) = j; d(ray[i], ray[j]) <= |i - j| along the ray, and
+    d(ray[0], ray[j]) <= i + d(ray[i], ray[j]) gives the reverse bound, so
+    every entry equals |i - j|.  Raises CertificationError otherwise.
     """
     for j, v in enumerate(ray):
         if from_start.get(v) != j:
@@ -248,10 +249,11 @@ def certify_flat(
 ) -> FlatCertificate:
     """Certify an exact (n+1) x (n+1) max-metric grid in a model graph.
 
-    The grid points are (ray[i], j) for 0 <= i, j <= n over a BFS-certified
-    geodesic ray through ``seed_pair``.  Raises RayExtensionError when the
-    ray cannot be extended under the height cap, and CertificationError if
-    any pairwise distance fails to equal max(|di|, |dj|).
+    The grid points are (ray[i], j) for 0 <= i, j <= n over the geodesic ray
+    of :func:`extend_geodesic_ray` through ``seed_pair``.  Raises
+    RayExtensionError when the ray cannot be extended under the height cap,
+    and CertificationError if any pairwise distance fails to equal
+    max(|di|, |dj|).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -260,12 +262,15 @@ def certify_flat(
     farey = FareyGraph(height_cap)
     graph, make = _model_graph(model, height_cap)
 
-    ray, from_start = _ray_and_ball(farey, seed_pair, n, max_visited)
+    distances: dict[Slope, int] = {}
+    ray = extend_geodesic_ray(farey, seed_pair, n, distances=distances)
 
-    # Exact all-pairs arc distances along the ray: row 0 from the one BFS
-    # ball around ray[0] plus adjacency of consecutive vertices force
-    # d(ray[i], ray[j]) = |i - j| by the triangle inequality.
-    check_ray_row(farey, ray, from_start)
+    # Exact all-pairs arc distances along the ray: row 0 from the
+    # continued-fraction oracle (a lower bound the ray meets) plus adjacency
+    # of consecutive vertices force d(ray[i], ray[j]) = |i - j| by the
+    # triangle inequality.
+    distances.update((v, farey_distance(ray[0], v)) for v in ray)
+    check_ray_row(farey, ray, distances)
     matrix = [tuple(abs(i - j) for j in range(n + 1)) for i in range(n + 1)]
 
     # Pin every grid pair: witness staircase above, projection bound below.
@@ -344,8 +349,8 @@ def certify_flat(
         l1_constants=(2, 0),
         spot_checks=tuple(checks),
         stats={
-            "farey_balls": 1,
-            "farey_vertices_explored": len(from_start),
+            "farey_balls": 0,
+            "farey_vertices_explored": len(distances),
             "grid_pairs": len(entries),
             "spot_checks": len(checks),
         },

@@ -120,6 +120,47 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def farey_distance(a: Slope, b: Slope) -> int:
+    """Exact distance from a to b in the Farey graph without a height cap.
+
+    The SL2(Z) matrix [[s, t], [-q, p]], with p*s + q*t = 1 for a = p/q,
+    maps a to inf and b to x = X/Y.  Every path from inf to x passes through
+    an end of each Farey edge that the vertical line to x crosses, so the
+    distance is that of the "ladder" of those edges: inf, the integers
+    L < x < R around x, then the Stern-Brocot mediants that close in on x.
+    A run of k mediants around the pivot L replaces R by L + R, then
+    2L + R, ..., kL + R; the i-th is adjacent to L and to the one before,
+    so it lies at distance min(dL + 1, dR + i) from inf.  Only the pairings
+    of x with L and R are tracked: a run divides one by the other and keeps
+    the remainder, as Euclid's algorithm does, and the run that leaves
+    remainder 0 ends on x.  The cost is one step per continued-fraction
+    term of x, whatever the heights.  The capped Farey graph is a subgraph,
+    so the result is a lower bound on every capped distance.
+    """
+    if a == b:
+        return 0
+    _, s, t = _egcd(a.p, a.q)
+    x, y = s * b.p + t * b.q, a.p * b.q - a.q * b.p
+    if y < 0:
+        x, y = -x, -y
+    if y == 1:
+        return 1
+    # inf is adjacent to L = floor(x) and R = L + 1; x = (pr)L + (pl)R in
+    # the basis (L, R), so pairing(x, L) = pl and pairing(x, R) = pr.
+    pl = x % y
+    pr = y - pl
+    dl = dr = 1
+    while True:
+        k, pr = divmod(pr, pl)
+        if pr == 0:
+            return min(dl + 1, dr + k)
+        dr = min(dl + 1, dr + k)
+        k, pl = divmod(pl, pr)
+        if pl == 0:
+            return min(dr + 1, dl + k)
+        dl = min(dr + 1, dl + k)
+
+
 def farey_neighbors(a: Slope, height_cap: int) -> list[Slope]:
     """All slopes b != a with pairing(a, b) = 1 and height(b) <= height_cap.
 

@@ -37,8 +37,10 @@ from .slopes import (
     SpottedArc,
     TwistUnit,
     UnitError,
+    _egcd,
     canonicalize,
     disjoint,
+    farey_distance,
     farey_neighbors,
     format_slope,
     format_spotted_arc,
@@ -68,6 +70,9 @@ INJECTIONS = {
     # Drop the -2 offset from the annular intersection count: must break
     # the intersection table.
     "annular-no-offset",
+    # Skip the last mediant of the Farey distance oracle's final run: must
+    # break the farey-distance comparison with BFS.
+    "ladder-drop-rung",
 }
 
 
@@ -216,6 +221,38 @@ def _check_text_roundtrip(rng: random.Random) -> CheckResult:
         except ValueError:
             pass
     return _result("arc", "text-roundtrip", bad, "300 random roundtrips + junk rejected")
+
+
+def _ladder_drop_rung(a: Slope, b: Slope) -> int:
+    """:func:`farey_distance` with the last mediant of its final run skipped.
+
+    In the frame where a is inf, b's ladder ends with a run of mediants
+    around one mediant-tree parent of b; the mediant before b is the other,
+    deeper parent.  The wrong answer is that parent's distance.
+    """
+    _, s, t = _egcd(a.p, a.q)
+    x, y = s * b.p + t * b.q, a.p * b.q - a.q * b.p
+    if y < 0:
+        x, y = -x, -y
+    if y <= 1:
+        return farey_distance(a, b)
+    yl = pow(x, -1, y)
+    xl = (x * yl - 1) // y
+    if y - yl > yl:
+        xl, yl = x - xl, y - yl
+    # Back from the frame: [[s, t], [-a.q, a.p]] has inverse [[a.p, -t], [a.q, s]].
+    return farey_distance(a, canonicalize(a.p * xl - t * yl, a.q * xl + s * yl))
+
+
+def _check_farey_distance(rng: random.Random, oracle: Callable[[Slope, Slope], int]) -> CheckResult:
+    farey = FareyGraph(60)
+    bad = []
+    for _ in range(60):
+        a, b = _random_slope(rng), _random_slope(rng)
+        got, want = oracle(a, b), engine.bfs_distance(farey, a, b, 16)
+        if got != want:
+            bad.append(f"farey_distance({a}, {b}) = {got}, BFS {want}")
+    return _result("arc", "farey-distance", bad, "60 random pairs equal capped BFS")
 
 
 # --- omega suite -------------------------------------------------------------
@@ -495,6 +532,7 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
     annular: Callable[[int, int], int] = annular_intersection
     if inject == "annular-no-offset":
         annular = lambda k, ell: 2 * abs(k - ell)
+    distance_oracle = _ladder_drop_rung if inject == "ladder-drop-rung" else farey_distance
 
     results: list[CheckResult] = []
     if name in ("arc", "all"):
@@ -506,6 +544,7 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
             _check_twist_actions(rng),
             _check_spot_forget(rng),
             _check_text_roundtrip(rng),
+            _check_farey_distance(rng, distance_oracle),
         ]
     if name in ("omega", "all"):
         rng = random.Random(rng_seed + 1)

@@ -11,6 +11,7 @@ from flatcert import (
     bfs_distance,
     certify_flat,
     extend_geodesic_ray,
+    farey_distance,
     parse_spotted_disk,
     parse_spotted_sphere,
     run_suite,
@@ -50,6 +51,43 @@ class TestRayExtension:
             extend_geodesic_ray(farey, (S(0, 1), S(34, 55)), 3)
 
 
+def bfs_greedy_ray(farey, seed_pair, length):
+    """The ray chosen from one capped BFS ball around the start, and whether
+    it reached the wanted length."""
+    from_start = ball(farey, seed_pair[0], length)
+    ray = list(seed_pair)
+    while len(ray) <= length:
+        nxt = [w for w in farey.neighbors(ray[-1]) if from_start.get(w) == len(ray)]
+        if not nxt:
+            return ray, False
+        ray.append(min(nxt))
+    return ray, True
+
+
+class TestRayAgainstBfsBall:
+    @pytest.mark.parametrize(
+        "cap, seed_pair, length",
+        [
+            (128, (S(0, 1), INFINITY), 6),
+            (128, (INFINITY, S(0, 1)), 6),
+            (128, (S(1, 2), S(1, 3)), 4),
+            (64, (S(-2, 5), S(-1, 2)), 4),
+            (100, (S(3, 7), S(2, 5)), 3),
+            (32, (S(1, 1), S(2, 1)), 5),
+            (8, (S(0, 1), INFINITY), 6),
+        ],
+    )
+    def test_matches_the_bfs_ball_greedy_ray(self, cap, seed_pair, length):
+        farey = FareyGraph(cap)
+        want, complete = bfs_greedy_ray(FareyGraph(cap), seed_pair, length)
+        if complete:
+            assert extend_geodesic_ray(farey, seed_pair, length) == want
+        else:
+            with pytest.raises(RayExtensionError) as info:
+                extend_geodesic_ray(farey, seed_pair, length)
+            assert info.value.ray == want
+
+
 class TestRayRowCheck:
     def test_rejects_non_adjacent_step(self):
         # d(0/1, 1/1) = 1 and d(0/1, 2/5) = 2 as row 0 requires, but 1/1 and
@@ -68,6 +106,21 @@ class TestRayRowCheck:
         ray = [S(0, 1), INFINITY, S(1, 1)]
         with pytest.raises(CertificationError, match="not geodesic"):
             check_ray_row(farey, ray, ball(farey, ray[0], 2))
+
+    def test_oracle_rows_reject_the_same_bad_rays(self):
+        farey = FareyGraph(16)
+        for ray, reason in [
+            ([S(0, 1), S(1, 1), S(2, 5)], "not an edge"),
+            ([S(0, 1), INFINITY, S(1, 1)], "not geodesic"),
+        ]:
+            row = {v: farey_distance(ray[0], v) for v in ray}
+            with pytest.raises(CertificationError, match=reason):
+                check_ray_row(farey, ray, row)
+
+    def test_oracle_row_accepts_the_extended_ray(self):
+        farey = FareyGraph(64)
+        ray = extend_geodesic_ray(farey, (S(0, 1), INFINITY), 4)
+        check_ray_row(farey, ray, {v: farey_distance(ray[0], v) for v in ray})
 
     def test_rejects_vertex_outside_ball(self):
         farey = FareyGraph(64)
@@ -148,9 +201,21 @@ class TestCertifyFlat:
         n, cap = 4, 64
         cert = certify_flat(n, (S(0, 1), INFINITY), height_cap=cap)
         farey = FareyGraph(cap)
-        assert cert.stats["farey_balls"] == 1
-        assert cert.stats["farey_vertices_explored"] == len(ball(farey, S(0, 1), n))
+        ray = extend_geodesic_ray(farey, (S(0, 1), INFINITY), n)
+        # The oracle saw each tip's neighbors up to the chosen one, then the ray.
+        seen = set(ray)
+        for tip, chosen in zip(ray[1:], ray[2:]):
+            nbrs = farey.neighbors(tip)
+            seen.update(nbrs[: nbrs.index(chosen) + 1])
+        assert cert.stats["farey_balls"] == 0
+        assert cert.stats["farey_vertices_explored"] == len(seen)
         assert json.loads(cert.to_json())["stats"] == cert.stats
+
+    def test_n9_certifies_without_a_ball(self):
+        cert = certify_flat(9, (S(0, 1), INFINITY), height_cap=1597)
+        assert cert.ray[-3:] == ("-233/89", "-610/233", "-1597/610")
+        assert len(cert.entries) == 100 * 99 // 2
+        assert cert.stats["farey_balls"] == 0
 
     def test_tight_height_cap_reports_partial_ray(self):
         with pytest.raises(RayExtensionError):
@@ -188,6 +253,13 @@ class TestSuites:
         assert not report.passed
         failed = {r.group for r in report.results if not r.passed}
         assert failed == {"annular-table"}
+
+    def test_ladder_injection_breaks_farey_distance_only(self):
+        clean = run_suite("arc")
+        assert "farey-distance" in {r.group for r in clean.results if r.passed}
+        report = run_suite("all", inject="ladder-drop-rung")
+        failed = {r.group for r in report.results if not r.passed}
+        assert failed == {"farey-distance"}
 
     def test_reports_are_seed_deterministic(self):
         a = run_suite("arc", rng_seed=5)
