@@ -30,7 +30,7 @@ from .certify import (
     certify_flat,
     extend_geodesic_ray,
 )
-from .fareygraph import FareyGraph
+from .fareygraph import FareyGraph, TwistedGraph
 from .handlebody import (
     IBundleDisk,
     SpottedDisk,

@@ -25,14 +25,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import engine
-from .engine import ImplicitGraph
-from .fareygraph import FareyGraph
-from .handlebody import SpottedDisk, SpottedDiskGraph
+from .fareygraph import FareyGraph, TwistedGraph
+from .handlebody import SpottedDiskGraph
 from .slopes import Slope, disjoint, farey_distance, format_slope
-from .spheres import SphereGraph, SpottedSphere
+from .spheres import SphereGraph
 
 PREAMBLE = (
     "Exact distances in the height-capped model graph named below. Every grid "
@@ -42,7 +41,8 @@ PREAMBLE = (
     "capped model graph."
 )
 
-MODELS = ("omega", "sphere")
+#: The model graphs a grid can be certified in, by model name.
+MODELS = {"omega": SpottedDiskGraph, "sphere": SphereGraph}
 
 
 class CertificationError(Exception):
@@ -144,14 +144,6 @@ class FlatCertificate:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _model_graph(model: str, height_cap: int) -> tuple[ImplicitGraph, Callable]:
-    if model == "omega":
-        return SpottedDiskGraph(height_cap), SpottedDisk
-    if model == "sphere":
-        return SphereGraph(height_cap), SpottedSphere
-    raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-
-
 def extend_geodesic_ray(
     farey: FareyGraph,
     seed_pair: tuple[Slope, Slope],
@@ -220,7 +212,7 @@ def check_ray_row(
 
 
 def _staircase(
-    make: Callable,
+    graph: TwistedGraph,
     ray: Sequence[Slope],
     source: tuple[int, int],
     target: tuple[int, int],
@@ -228,11 +220,11 @@ def _staircase(
     """Witness path moving one ray step and/or one twist step at a time."""
     i, j = source
     i2, j2 = target
-    path = [make(ray[i], j)]
+    path = [graph.vertex(ray[i], j)]
     while (i, j) != (i2, j2):
         i += (i2 > i) - (i2 < i)
         j += (j2 > j) - (j2 < j)
-        path.append(make(ray[i], j))
+        path.append(graph.vertex(ray[i], j))
     return path
 
 
@@ -259,8 +251,10 @@ def certify_flat(
         raise ValueError("n must be >= 1")
     if n > distance_cap:
         raise ValueError("n must not exceed the distance cap")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {tuple(MODELS)}")
     farey = FareyGraph(height_cap)
-    graph, make = _model_graph(model, height_cap)
+    graph = MODELS[model](height_cap)
 
     distances: dict[Slope, int] = {}
     ray = extend_geodesic_ray(farey, seed_pair, n, distances=distances)
@@ -282,7 +276,7 @@ def certify_flat(
             i2, j2 = coords[b]
             expected = max(abs(i - i2), abs(j - j2))
             lower = max(matrix[i][i2], abs(j - j2))
-            witness = _staircase(make, ray, (i, j), (i2, j2))
+            witness = _staircase(graph, ray, (i, j), (i2, j2))
             for u, v in zip(witness, witness[1:]):
                 if not graph.adjacent(u, v):
                     raise CertificationError(
@@ -316,8 +310,8 @@ def certify_flat(
     chosen = rng.sample(short, min(spot_check_count, len(short)))
     checks = []
     for e in sorted(chosen, key=lambda e: (e.source, e.target)):
-        u = make(ray[e.source[0]], e.source[1])
-        v = make(ray[e.target[0]], e.target[1])
+        u = graph.vertex(ray[e.source[0]], e.source[1])
+        v = graph.vertex(ray[e.target[0]], e.target[1])
         d = engine.bfs_distance(graph, u, v, e.distance, max_visited=max_visited)
         if d != e.distance:
             raise CertificationError(

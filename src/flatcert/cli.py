@@ -32,14 +32,9 @@ from .engine import (
     document_from_ball,
 )
 from .fareygraph import FareyGraph
-from .handlebody import (
-    SpottedDiskGraph,
-    annular_intersection,
-    parse_spotted_disk,
-    push_disk,
-)
+from .handlebody import annular_intersection, parse_spotted_disk, push_disk
 from .slopes import parse_slope, parse_spotted_arc, point_push
-from .spheres import SphereGraph, SpottedArcGraph, intersection_circles
+from .spheres import SpottedArcGraph, intersection_circles
 from .suites import INJECTIONS, SUITE_NAMES, run_suite
 
 _BUILTIN_DEFAULTS = {
@@ -50,7 +45,8 @@ _BUILTIN_DEFAULTS = {
     "max-visited": engine.DEFAULT_MAX_VISITED,
 }
 
-GRAPH_KINDS = ("farey", "omega", "sphere", "spotted-arc")
+GRAPHS = {"farey": FareyGraph, **MODELS, "spotted-arc": SpottedArcGraph}
+GRAPH_KINDS = tuple(GRAPHS)
 
 
 class UsageError(ValueError):
@@ -86,15 +82,9 @@ def _resolve(args, config: dict, attr: str, key: str):
 
 
 def build_graph(kind: str, height_cap: int):
-    if kind == "farey":
-        return FareyGraph(height_cap)
-    if kind == "omega":
-        return SpottedDiskGraph(height_cap)
-    if kind == "sphere":
-        return SphereGraph(height_cap)
-    if kind == "spotted-arc":
-        return SpottedArcGraph(height_cap)
-    raise UsageError(f"unknown graph {kind!r}; expected one of {GRAPH_KINDS}")
+    if kind not in GRAPHS:
+        raise UsageError(f"unknown graph {kind!r}; expected one of {GRAPH_KINDS}")
+    return GRAPHS[kind](height_cap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,10 +202,10 @@ def _run(args, config: dict) -> int:
         return 0
 
     if args.command == "omega":
-        g = SpottedDiskGraph(height_cap)
-        x = parse_spotted_disk(args.x)
+        g = build_graph("omega", height_cap)
+        x = g.parse_vertex(args.x)
         if args.subcommand == "dist":
-            y = parse_spotted_disk(args.y)
+            y = g.parse_vertex(args.y)
             print(engine.bfs_distance(g, x, y, cap, max_visited=max_visited))
         else:
             members = engine.ball(g, x, args.radius, max_visited=max_visited)

@@ -1,15 +1,21 @@
-"""The Farey graph as an implicit graph: the arc graph of a one-holed torus.
+"""The Farey graph, and its strong product with the twist line.
 
-Vertices are canonical slopes, edges join slopes with cross determinant 1.
-Every vertex has infinite degree, so the graph carries an explicit height
-cap: it is the subgraph induced on slopes of height at most the cap.
+The Farey graph is the arc graph of a one-holed torus: vertices are
+canonical slopes, edges join slopes with cross determinant 1.  Every vertex
+has infinite degree, so the graph carries an explicit height cap: it is the
+subgraph induced on slopes of height at most the cap.  The twisted disk and
+sphere models are all :class:`TwistedGraph`, which adds a twist step.
 """
 
 from __future__ import annotations
 
-from .engine import ImplicitGraph
+from abc import abstractmethod
+from bisect import insort
+
+from .engine import ImplicitGraph, V
 from .slopes import (
     Slope,
+    disjoint,
     farey_neighbors,
     format_slope,
     pairing,
@@ -49,3 +55,63 @@ class FareyGraph(ImplicitGraph[Slope]):
 
     def sort_key(self, v: Slope):
         return stern_brocot_key(v)
+
+
+class TwistedGraph(ImplicitGraph[V]):
+    """Closed Farey neighborhood x twist step in [-twist_gap, twist_gap].
+
+    (a, k) ~ (b, l) iff the vertices are distinct, the arcs are disjoint and
+    |k - l| <= twist_gap; vertices sort by (arc's Stern-Brocot key, twist).
+    A gap above 1 exists only for the suites' negative controls.  Subclasses
+    supply the codec: ``name``, ``vertex_type``, ``_split(v) -> (arc,
+    twist)``, ``serialize_vertex`` and ``parse_vertex``.  ``vertex(arc,
+    twist)``, the inverse of ``_split``, calls ``vertex_type(arc, twist)``.
+    """
+
+    name: str
+    vertex_type: type
+
+    def __init__(self, height_cap: int, *, twist_gap: int = 1):
+        if height_cap < 1:
+            raise ValueError("height_cap must be >= 1")
+        if twist_gap < 1:
+            raise ValueError("twist_gap must be >= 1")
+        super().__init__(name=self.name)
+        self.height_cap = height_cap
+        self.twist_gap = twist_gap
+
+    @abstractmethod
+    def _split(self, v: V) -> tuple[Slope, int]: ...
+
+    def vertex(self, arc: Slope, twist: int) -> V:
+        return self.vertex_type(arc, twist)
+
+    def contains(self, v: V) -> bool:
+        return (
+            isinstance(v, self.vertex_type)
+            and self._split(v)[0].height() <= self.height_cap
+        )
+
+    def _compute_neighbors(self, v: V) -> list[V]:
+        # farey_neighbors is in Stern-Brocot order, so with the arc itself
+        # inserted in place and twists ascending this is sort_key order.
+        arc, k = self._split(v)
+        bases = farey_neighbors(arc, self.height_cap)
+        insort(bases, arc, key=stern_brocot_key)
+        steps = range(-self.twist_gap, self.twist_gap + 1)
+        make = self.vertex
+        return [make(b, k + dk) for b in bases for dk in steps if dk or b is not arc]
+
+    def adjacent(self, u: V, v: V) -> bool:
+        (a, k), (b, l) = self._split(u), self._split(v)
+        return (
+            u != v
+            and disjoint(a, b)
+            and abs(k - l) <= self.twist_gap
+            and self.contains(u)
+            and self.contains(v)
+        )
+
+    def sort_key(self, v: V):
+        arc, k = self._split(v)
+        return (stern_brocot_key(arc), k)

@@ -5,7 +5,8 @@ torus base, so the unspotted model is the Farey graph.  Pushing the spot
 around the annulus between the two lifts of the fiber curve adds an integer
 twist coordinate; the resulting graph on (arc, twists) pairs carries the
 product metric max(arc distance, twist gap), which is what the certifier
-checks.
+checks.  Here are the disk type, its coordinates and text format ``p/q@k``;
+the graph rule is :class:`~flatcert.fareygraph.TwistedGraph`'s.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engine
-from .engine import Distance, AtLeast, ImplicitGraph
-from .fareygraph import FareyGraph
+from .engine import Distance, AtLeast
+from .fareygraph import FareyGraph, TwistedGraph
 from .slopes import (
     ArcSystem,
     Slope,
-    disjoint,
-    farey_neighbors,
     format_slope,
+    parse_int,
     parse_slope,
     stern_brocot_key,
 )
@@ -98,56 +98,20 @@ def annular_intersection(k: int, ell: int) -> int:
     return max(2 * abs(k - ell) - 2, 0)
 
 
-class SpottedDiskGraph(ImplicitGraph[SpottedDisk]):
-    """The union of all twisted copies of the arc-disk family, as a graph.
+class SpottedDiskGraph(TwistedGraph[SpottedDisk]):
+    """The union of all twisted copies of the arc-disk family, as a graph."""
 
-    (a, k) ~ (b, l) iff the vertices are distinct, the arcs are disjoint,
-    and |k - l| <= 1.  Arc heights are capped like in FareyGraph; twists
-    are unbounded.  ``twist_gap`` widens the twist rule and exists only so
-    the verification suite can prove it would catch a wrong rule.
-    """
+    name = "omega(g=2)"
+    vertex_type = SpottedDisk
 
-    def __init__(self, height_cap: int, *, twist_gap: int = 1):
-        if height_cap < 1:
-            raise ValueError("height_cap must be >= 1")
-        if twist_gap < 1:
-            raise ValueError("twist_gap must be >= 1")
-        super().__init__(name="omega(g=2)")
-        self.height_cap = height_cap
-        self.twist_gap = twist_gap
-
-    def contains(self, v: SpottedDisk) -> bool:
-        return isinstance(v, SpottedDisk) and v.arc.height() <= self.height_cap
-
-    def _compute_neighbors(self, v: SpottedDisk) -> list[SpottedDisk]:
-        bases = [v.arc] + farey_neighbors(v.arc, self.height_cap)
-        gap = self.twist_gap
-        out = [
-            SpottedDisk(b, v.twists + dk)
-            for b in bases
-            for dk in range(-gap, gap + 1)
-        ]
-        out.remove(v)
-        out.sort(key=self.sort_key)
-        return out
-
-    def adjacent(self, u: SpottedDisk, v: SpottedDisk) -> bool:
-        return (
-            u != v
-            and disjoint(u.arc, v.arc)
-            and abs(u.twists - v.twists) <= self.twist_gap
-            and self.contains(u)
-            and self.contains(v)
-        )
+    def _split(self, v: SpottedDisk) -> tuple[Slope, int]:
+        return v.arc, v.twists
 
     def serialize_vertex(self, v: SpottedDisk) -> str:
         return format_spotted_disk(v)
 
     def parse_vertex(self, text: str) -> SpottedDisk:
         return parse_spotted_disk(text)
-
-    def sort_key(self, v: SpottedDisk):
-        return (stern_brocot_key(v.arc), v.twists)
 
 
 def spotted_disk_distance(
@@ -194,6 +158,6 @@ def parse_spotted_disk(text: str) -> SpottedDisk:
     if not sep:
         raise ValueError(f"not a spotted disk: {text!r}")
     try:
-        return SpottedDisk(parse_slope(arc_part), int(twist_part))
+        return SpottedDisk(parse_slope(arc_part), parse_int(twist_part))
     except ValueError as exc:
         raise ValueError(f"not a spotted disk: {text!r}") from exc

@@ -10,6 +10,7 @@ arc in the spotted surface are tracked by an integer twist count whose unit
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -288,6 +289,19 @@ class ArcSystem:
 # SpottedArc       "p/q@k:full"     or "p/q@k:half"
 
 
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def parse_int(text: str) -> int:
+    """A decimal integer: optional surrounding whitespace and sign, ASCII digits.
+
+    Unlike ``int`` alone, rejects underscores ("1_0") and non-ASCII digits ("１").
+    """
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def format_slope(s: Slope) -> str:
     return "inf" if s.q == 0 else f"{s.p}/{s.q}"
 
@@ -299,8 +313,8 @@ def parse_slope(text: str) -> Slope:
     try:
         if "/" in t:
             num, den = t.split("/", 1)
-            return canonicalize(int(num), int(den))
-        return canonicalize(int(t), 1)
+            return canonicalize(parse_int(num), parse_int(den))
+        return canonicalize(parse_int(t), 1)
     except ValueError as exc:
         raise ValueError(f"not a slope: {text!r}") from exc
 
@@ -317,6 +331,6 @@ def parse_spotted_arc(text: str) -> SpottedArc:
     twist_part, unit_part = rest.split(":", 1)
     try:
         unit = TwistUnit(unit_part)
-        return SpottedArc(parse_slope(base_part), int(twist_part), unit)
+        return SpottedArc(parse_slope(base_part), parse_int(twist_part), unit)
     except ValueError as exc:
         raise ValueError(f"not a spotted arc: {text!r}") from exc

@@ -3,27 +3,26 @@
 Doubling the thickened arc over an arc of the base surface gives an
 embedded sphere; sliding an arc endpoint across the marked boundary point
 is a half twist, and two half twists amount to one full push of the point.
-The model graphs on (arc, half-twists) pairs mirror the disk model, with
-the twist unit carried in the type so the two cannot be mixed.
+The model graphs on (arc, half-twists) pairs are the disk model's
+:class:`~flatcert.fareygraph.TwistedGraph`, with the twist unit carried in
+the vertex type so the two cannot be mixed; this module gives their codecs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import ImplicitGraph
+from .fareygraph import TwistedGraph
 from .slopes import (
     Slope,
     SpottedArc,
     TwistUnit,
     UnitError,
-    disjoint,
-    farey_neighbors,
     format_slope,
     format_spotted_arc,
+    parse_int,
     parse_slope,
     parse_spotted_arc,
-    stern_brocot_key,
 )
 
 
@@ -64,65 +63,14 @@ def intersection_circles(h: int, h2: int) -> int:
     return max(abs(h - h2) - 1, 0)
 
 
-class _TwistedArcRule(ImplicitGraph):
-    """Shared adjacency: distinct, disjoint arcs, half-twist gap <= 1."""
-
-    def __init__(self, name: str, height_cap: int):
-        if height_cap < 1:
-            raise ValueError("height_cap must be >= 1")
-        super().__init__(name=name)
-        self.height_cap = height_cap
-
-    def _arc_of(self, v) -> Slope:
-        raise NotImplementedError
-
-    def _twist_of(self, v) -> int:
-        raise NotImplementedError
-
-    def _make(self, arc: Slope, twist: int):
-        raise NotImplementedError
-
-    def contains(self, v) -> bool:
-        return self._arc_of(v).height() <= self.height_cap
-
-    def _compute_neighbors(self, v) -> list:
-        arc, h = self._arc_of(v), self._twist_of(v)
-        bases = [arc] + farey_neighbors(arc, self.height_cap)
-        out = [self._make(b, h + dh) for b in bases for dh in (-1, 0, 1)]
-        out.remove(v)
-        out.sort(key=self.sort_key)
-        return out
-
-    def adjacent(self, u, v) -> bool:
-        return (
-            u != v
-            and disjoint(self._arc_of(u), self._arc_of(v))
-            and abs(self._twist_of(u) - self._twist_of(v)) <= 1
-            and self.contains(u)
-            and self.contains(v)
-        )
-
-    def sort_key(self, v):
-        return (stern_brocot_key(self._arc_of(v)), self._twist_of(v))
-
-
-class SphereGraph(_TwistedArcRule):
+class SphereGraph(TwistedGraph[SpottedSphere]):
     """Model sphere graph on the twisted doubles of arc spheres."""
 
-    def __init__(self, height_cap: int):
-        super().__init__("sphere(g=2)", height_cap)
+    name = "sphere(g=2)"
+    vertex_type = SpottedSphere
 
-    def _arc_of(self, v: SpottedSphere) -> Slope:
-        return v.arc
-
-    def _twist_of(self, v: SpottedSphere) -> int:
-        return v.half_twists
-
-    def _make(self, arc: Slope, twist: int) -> SpottedSphere:
-        return SpottedSphere(arc, twist)
-
-    def contains(self, v) -> bool:
-        return isinstance(v, SpottedSphere) and super().contains(v)
+    def _split(self, v: SpottedSphere) -> tuple[Slope, int]:
+        return v.arc, v.half_twists
 
     def serialize_vertex(self, v: SpottedSphere) -> str:
         return format_spotted_sphere(v)
@@ -131,27 +79,20 @@ class SphereGraph(_TwistedArcRule):
         return parse_spotted_sphere(text)
 
 
-class SpottedArcGraph(_TwistedArcRule):
+class SpottedArcGraph(TwistedGraph[SpottedArc]):
     """Arc graph of the surface with a marked boundary point (half units)."""
 
-    def __init__(self, height_cap: int):
-        super().__init__("spotted-arc(g=2)", height_cap)
+    name = "spotted-arc(g=2)"
+    vertex_type = SpottedArc
 
-    def _arc_of(self, v: SpottedArc) -> Slope:
-        return v.base
+    def _split(self, v: SpottedArc) -> tuple[Slope, int]:
+        return v.base, v.twist
 
-    def _twist_of(self, v: SpottedArc) -> int:
-        return v.twist
-
-    def _make(self, arc: Slope, twist: int) -> SpottedArc:
+    def vertex(self, arc: Slope, twist: int) -> SpottedArc:
         return SpottedArc(arc, twist, TwistUnit.HALF)
 
     def contains(self, v) -> bool:
-        return (
-            isinstance(v, SpottedArc)
-            and v.unit is TwistUnit.HALF
-            and super().contains(v)
-        )
+        return super().contains(v) and v.unit is TwistUnit.HALF
 
     def serialize_vertex(self, v: SpottedArc) -> str:
         return format_spotted_arc(v)
@@ -179,6 +120,6 @@ def parse_spotted_sphere(text: str) -> SpottedSphere:
     if not sep:
         raise ValueError(f"not a spotted sphere: {text!r}")
     try:
-        return SpottedSphere(parse_slope(arc_part), int(twist_part))
+        return SpottedSphere(parse_slope(arc_part), parse_int(twist_part))
     except ValueError as exc:
         raise ValueError(f"not a spotted sphere: {text!r}") from exc

@@ -67,6 +67,9 @@ SUITE_NAMES = ("arc", "omega", "sphere", "all")
 INJECTIONS = {
     # Widen the disk-graph twist rule to |dk| <= 2: must break product-metric.
     "omega-twist-gap-2",
+    # Widen the sphere-graph twist rule to |dh| <= 2: must break the sphere
+    # circles table, doubling isomorphism and product metric.
+    "sphere-twist-gap-2",
     # Drop the -2 offset from the annular intersection count: must break
     # the intersection table.
     "annular-no-offset",
@@ -526,9 +529,10 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
     if inject is not None and inject not in INJECTIONS:
         raise ValueError(f"unknown injection {inject!r}; expected one of {sorted(INJECTIONS)}")
 
-    twist_gap = 2 if inject == "omega-twist-gap-2" else 1
-    disk_graph_factory = lambda cap: SpottedDiskGraph(cap, twist_gap=twist_gap)
-    sphere_graph_factory = SphereGraph
+    disk_gap = 2 if inject == "omega-twist-gap-2" else 1
+    sphere_gap = 2 if inject == "sphere-twist-gap-2" else 1
+    disk_graph_factory = lambda cap: SpottedDiskGraph(cap, twist_gap=disk_gap)
+    sphere_graph_factory = lambda cap: SphereGraph(cap, twist_gap=sphere_gap)
     annular: Callable[[int, int], int] = annular_intersection
     if inject == "annular-no-offset":
         annular = lambda k, ell: 2 * abs(k - ell)

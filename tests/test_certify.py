@@ -261,6 +261,15 @@ class TestSuites:
         failed = {r.group for r in report.results if not r.passed}
         assert failed == {"farey-distance"}
 
+    def test_sphere_twist_gap_injection_breaks_three_sphere_groups(self):
+        report = run_suite("all", inject="sphere-twist-gap-2")
+        failed = {(r.suite, r.group) for r in report.results if not r.passed}
+        assert failed == {
+            ("sphere", "circles-table"),
+            ("sphere", "doubling-isomorphism"),
+            ("sphere", "product-metric"),
+        }
+
     def test_reports_are_seed_deterministic(self):
         a = run_suite("arc", rng_seed=5)
         b = run_suite("arc", rng_seed=5)

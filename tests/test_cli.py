@@ -77,6 +77,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "farey", "dist", "x/y", "0/1")
         assert code == 2 and "error" in err
 
+    def test_usage_error_on_underscored_or_non_ascii_digits(self, capsys):
+        for argv in (
+            ("farey", "dist", "1_0/3", "0/1"),
+            ("omega", "dist", "0/1@0", "1/2@１"),
+            ("export", "--graph", "sphere", "--center", "0/1@1_0:sph", "--radius", "1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and "error" in err
+
     def test_usage_error_on_bad_seed(self, capsys):
         code, _, err = run_cli(capsys, "certify-flat", "--seed", "0/1")
         assert code == 2

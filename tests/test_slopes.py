@@ -10,6 +10,8 @@ from flatcert import (
     ArcSystem,
     Slope,
     SpottedArc,
+    SpottedDisk,
+    SpottedSphere,
     TwistUnit,
     UnitError,
     canonicalize,
@@ -21,6 +23,8 @@ from flatcert import (
     pairing,
     parse_slope,
     parse_spotted_arc,
+    parse_spotted_disk,
+    parse_spotted_sphere,
     point_push,
     spot_forget,
     stern_brocot_key,
@@ -267,3 +271,45 @@ class TestTextFormats:
     def test_rejects_junk_arcs(self, junk):
         with pytest.raises(ValueError):
             parse_spotted_arc(junk)
+
+
+class TestIntegerSpellings:
+    """Integer tokens are ASCII decimal: no underscores, no other digits."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1_0/3", "1/1_0", "1_0", "１/2", "1/２", "١/2", "+-1/2", "1 0/3",
+            "0x1/2", "1/2.0", "", "/",
+        ],
+    )
+    def test_parse_slope_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_slope(text)
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_spotted_arc, "1_0/3@1:half"),
+            (parse_spotted_arc, "１/2@1:full"),
+            (parse_spotted_arc, "1/2@1_0:half"),
+            (parse_spotted_arc, "1/2@３:full"),
+            (parse_spotted_disk, "１/2@3"),
+            (parse_spotted_disk, "1/2@1_0"),
+            (parse_spotted_disk, "1/2@٣"),
+            (parse_spotted_disk, "1/2@"),
+            (parse_spotted_sphere, "1_0/3@1:sph"),
+            (parse_spotted_sphere, "1/2@1_0:sph"),
+            (parse_spotted_sphere, "1/2@３:sph"),
+        ],
+    )
+    def test_spotted_parsers_reject(self, parse, text):
+        with pytest.raises(ValueError):
+            parse(text)
+
+    def test_signs_and_surrounding_whitespace_still_read(self):
+        assert parse_slope(" +3/ 5 ") == S(3, 5)
+        assert parse_slope("-4\t") == S(-4, 1)
+        assert parse_spotted_disk("-2/5@ -7") == SpottedDisk(S(-2, 5), -7)
+        assert parse_spotted_sphere("1/2@+3:sph") == SpottedSphere(S(1, 2), 3)
+        assert parse_spotted_arc("inf@-1:half") == SpottedArc(INFINITY, -1, TwistUnit.HALF)
