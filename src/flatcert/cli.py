@@ -33,7 +33,7 @@ from .engine import (
 )
 from .fareygraph import FareyGraph
 from .handlebody import annular_intersection, parse_spotted_disk, push_disk
-from .slopes import parse_slope, parse_spotted_arc, point_push
+from .slopes import parse_int, parse_slope, parse_spotted_arc, point_push
 from .spheres import SpottedArcGraph, intersection_circles
 from .suites import INJECTIONS, SUITE_NAMES, run_suite
 
@@ -66,7 +66,7 @@ def load_config(path: str) -> dict:
         key = key.strip().replace("_", "-")
         value = value.strip().strip("\"'")
         try:
-            values[key] = int(value)
+            values[key] = parse_int(value)
         except ValueError:
             values[key] = value
     return values
@@ -77,6 +77,8 @@ def _resolve(args, config: dict, attr: str, key: str):
     if flag is not None:
         return flag
     if key in config:
+        if not isinstance(config[key], int):
+            raise UsageError(f"config value {key} = {config[key]!r} is not a decimal integer")
         return config[key]
     return _BUILTIN_DEFAULTS[key]
 
@@ -112,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p, height_help="arc height cap"):
-        p.add_argument("--cap", type=int, help="distance search cap")
-        p.add_argument("--height-cap", type=int, help=height_help)
-        p.add_argument("--max-visited", type=int, help="vertex budget per search")
+        p.add_argument("--cap", type=parse_int, help="distance search cap")
+        p.add_argument("--height-cap", type=parse_int, help=height_help)
+        p.add_argument("--max-visited", type=parse_int, help="vertex budget per search")
 
     farey = sub.add_parser("farey", help="distances in the slope graph")
     farey_sub = farey.add_subparsers(dest="subcommand", required=True)
@@ -135,46 +137,46 @@ def build_parser() -> argparse.ArgumentParser:
     add_caps(od)
     ob = omega_sub.add_parser("ball", help="exact ball around a spotted disk")
     ob.add_argument("x")
-    ob.add_argument("radius", type=int)
+    ob.add_argument("radius", type=parse_int)
     add_caps(ob)
 
     push = sub.add_parser("push", help="apply n spot pushes to an arc or disk")
     push.add_argument("x", help="p/q@k, p/q@k:full or p/q@h:half")
-    push.add_argument("n", type=int)
+    push.add_argument("n", type=parse_int)
 
     intersect = sub.add_parser("intersect", help="exact intersection counts")
     intersect_sub = intersect.add_subparsers(dest="subcommand", required=True)
     ia = intersect_sub.add_parser("annular", help="twisted disk intersections")
-    ia.add_argument("k", type=int)
-    ia.add_argument("l", type=int)
+    ia.add_argument("k", type=parse_int)
+    ia.add_argument("l", type=parse_int)
 
     sphere = sub.add_parser("sphere", help="sphere-model counts")
     sphere_sub = sphere.add_subparsers(dest="subcommand", required=True)
     sc = sphere_sub.add_parser("circles", help="intersection circles of twisted spheres")
-    sc.add_argument("h", type=int)
-    sc.add_argument("h2", type=int)
+    sc.add_argument("h", type=parse_int)
+    sc.add_argument("h2", type=parse_int)
 
     cert = sub.add_parser("certify-flat", help="certify an exact max-metric grid")
-    cert.add_argument("--n", type=int, default=6, help="grid size (default 6)")
+    cert.add_argument("--n", type=parse_int, default=6, help="grid size (default 6)")
     cert.add_argument("--seed", default="0/1,1/0", help="seed slope pair a,b")
     cert.add_argument("--model", choices=MODELS, default="omega")
-    cert.add_argument("--rng-seed", type=int, help="seed for spot-check sampling")
+    cert.add_argument("--rng-seed", type=parse_int, help="seed for spot-check sampling")
     cert.add_argument("--out", help="write certificate JSON here (default stdout)")
     add_caps(cert)
 
     suite = sub.add_parser("suite", help="run a named property suite")
     suite.add_argument("name", choices=SUITE_NAMES)
     suite.add_argument("--inject", choices=sorted(INJECTIONS), help="failure injection")
-    suite.add_argument("--rng-seed", type=int)
+    suite.add_argument("--rng-seed", type=parse_int)
 
     export = sub.add_parser("export", help="export a ball as DOT or JSON")
     export.add_argument("--graph", required=True, choices=GRAPH_KINDS)
     export.add_argument("--center", required=True)
-    export.add_argument("--radius", type=int, required=True)
+    export.add_argument("--radius", type=parse_int, required=True)
     export.add_argument("--format", choices=("dot", "json"), default="json")
     export.add_argument("--out")
-    export.add_argument("--height-cap", type=int)
-    export.add_argument("--max-visited", type=int)
+    export.add_argument("--height-cap", type=parse_int)
+    export.add_argument("--max-visited", type=parse_int)
 
     return parser
 

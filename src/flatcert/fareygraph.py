@@ -62,23 +62,22 @@ class TwistedGraph(ImplicitGraph[V]):
 
     (a, k) ~ (b, l) iff the vertices are distinct, the arcs are disjoint and
     |k - l| <= twist_gap; vertices sort by (arc's Stern-Brocot key, twist).
-    A gap above 1 exists only for the suites' negative controls.  Subclasses
-    supply the codec: ``name``, ``vertex_type``, ``_split(v) -> (arc,
-    twist)``, ``serialize_vertex`` and ``parse_vertex``.  ``vertex(arc,
-    twist)``, the inverse of ``_split``, calls ``vertex_type(arc, twist)``.
+    ``twist_gap`` is 1 in every model; only the suites' negative controls
+    widen it.  Subclasses supply the codec: ``name``, ``vertex_type``,
+    ``_split(v) -> (arc, twist)``, ``serialize_vertex`` and
+    ``parse_vertex``.  ``vertex(arc, twist)``, the inverse of ``_split``,
+    calls ``vertex_type(arc, twist)``.
     """
 
     name: str
     vertex_type: type
+    twist_gap = 1
 
-    def __init__(self, height_cap: int, *, twist_gap: int = 1):
+    def __init__(self, height_cap: int):
         if height_cap < 1:
             raise ValueError("height_cap must be >= 1")
-        if twist_gap < 1:
-            raise ValueError("twist_gap must be >= 1")
         super().__init__(name=self.name)
         self.height_cap = height_cap
-        self.twist_gap = twist_gap
 
     @abstractmethod
     def _split(self, v: V) -> tuple[Slope, int]: ...

@@ -99,10 +99,20 @@ def annular_intersection(k: int, ell: int) -> int:
 
 
 class SpottedDiskGraph(TwistedGraph[SpottedDisk]):
-    """The union of all twisted copies of the arc-disk family, as a graph."""
+    """The union of all twisted copies of the arc-disk family, as a graph.
+
+    ``twist_gap`` widens the twist rule and exists only so the verification
+    suite can prove it would catch a wrong rule.
+    """
 
     name = "omega(g=2)"
     vertex_type = SpottedDisk
+
+    def __init__(self, height_cap: int, *, twist_gap: int = 1):
+        super().__init__(height_cap)
+        if twist_gap < 1:
+            raise ValueError("twist_gap must be >= 1")
+        self.twist_gap = twist_gap
 
     def _split(self, v: SpottedDisk) -> tuple[Slope, int]:
         return v.arc, v.twists

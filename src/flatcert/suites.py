@@ -226,6 +226,12 @@ def _check_text_roundtrip(rng: random.Random) -> CheckResult:
     return _result("arc", "text-roundtrip", bad, "300 random roundtrips + junk rejected")
 
 
+class _SphereTwistGap2(SphereGraph):
+    """:class:`SphereGraph` with its twist rule widened to |dh| <= 2."""
+
+    twist_gap = 2
+
+
 def _ladder_drop_rung(a: Slope, b: Slope) -> int:
     """:func:`farey_distance` with the last mediant of its final run skipped.
 
@@ -529,10 +535,9 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
     if inject is not None and inject not in INJECTIONS:
         raise ValueError(f"unknown injection {inject!r}; expected one of {sorted(INJECTIONS)}")
 
-    disk_gap = 2 if inject == "omega-twist-gap-2" else 1
-    sphere_gap = 2 if inject == "sphere-twist-gap-2" else 1
-    disk_graph_factory = lambda cap: SpottedDiskGraph(cap, twist_gap=disk_gap)
-    sphere_graph_factory = lambda cap: SphereGraph(cap, twist_gap=sphere_gap)
+    twist_gap = 2 if inject == "omega-twist-gap-2" else 1
+    disk_graph_factory = lambda cap: SpottedDiskGraph(cap, twist_gap=twist_gap)
+    sphere_graph_factory = _SphereTwistGap2 if inject == "sphere-twist-gap-2" else SphereGraph
     annular: Callable[[int, int], int] = annular_intersection
     if inject == "annular-no-offset":
         annular = lambda k, ell: 2 * abs(k - ell)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from flatcert.cli import main
 from flatcert.engine import GraphDocument
 
@@ -85,6 +87,17 @@ class TestExitCodes:
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == "" and "error" in err
+        for argv in (
+            ("sphere", "circles", "1_0", "3"),
+            ("intersect", "annular", "２", "0"),
+            ("export", "--graph", "omega", "--center", "0/1@0", "--radius", "１"),
+            ("farey", "dist", "0/1", "1/3", "--height-cap", "1_0"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "invalid" in captured.err
 
     def test_usage_error_on_bad_seed(self, capsys):
         code, _, err = run_cli(capsys, "certify-flat", "--seed", "0/1")
@@ -190,6 +203,15 @@ class TestConfigFile:
         cfg.write_text("height_cap = 3\n")
         code, out, _ = run_cli(capsys, "--config", str(cfg), "farey", "dist", "0/1", "1/3")
         assert code == 0 and out.strip() == "1"
+
+    def test_config_integers_take_only_decimal_spellings(self, tmp_path, capsys):
+        cfg = tmp_path / "c.toml"
+        for value in ("1_0", "１0", "ten"):
+            cfg.write_text(f"height-cap = {value}\n")
+            code, out, err = run_cli(
+                capsys, "--config", str(cfg), "farey", "dist", "0/1", "1/3"
+            )
+            assert code == 2 and out == "" and "decimal integer" in err
 
     def test_bad_config_line_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.toml"

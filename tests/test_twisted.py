@@ -52,8 +52,15 @@ def test_rejects_bad_caps():
     for make in (SpottedDiskGraph, SphereGraph, SpottedArcGraph):
         with pytest.raises(ValueError):
             make(0)
-        with pytest.raises(ValueError):
-            make(3, twist_gap=0)
+    with pytest.raises(ValueError):
+        SpottedDiskGraph(3, twist_gap=0)
+
+
+def test_only_the_disk_graph_takes_a_twist_gap():
+    assert SphereGraph(3).twist_gap == SpottedArcGraph(3).twist_gap == 1
+    for make in (SphereGraph, SpottedArcGraph):
+        with pytest.raises(TypeError):
+            make(3, twist_gap=2)
 
 
 huge = st.integers(-(10**30), 10**30)
