@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import engine
-from .fareygraph import FareyGraph, TwistedGraph
+from .fareygraph import FareyGraph
 from .handlebody import SpottedDiskGraph
 from .slopes import Slope, disjoint, farey_distance, format_slope
 from .spheres import SphereGraph
@@ -211,20 +211,15 @@ def check_ray_row(
             raise CertificationError(f"ray step {u} -> {v} is not an edge")
 
 
-def _staircase(
-    graph: TwistedGraph,
-    ray: Sequence[Slope],
-    source: tuple[int, int],
-    target: tuple[int, int],
-) -> list:
-    """Witness path moving one ray step and/or one twist step at a time."""
+def _staircase(source: tuple[int, int], target: tuple[int, int]) -> list[tuple[int, int]]:
+    """Grid points of the witness path, one ray step and/or one twist step at a time."""
     i, j = source
     i2, j2 = target
-    path = [graph.vertex(ray[i], j)]
+    path = [(i, j)]
     while (i, j) != (i2, j2):
         i += (i2 > i) - (i2 < i)
         j += (j2 > j) - (j2 < j)
-        path.append(graph.vertex(ray[i], j))
+        path.append((i, j))
     return path
 
 
@@ -268,7 +263,12 @@ def certify_flat(
     matrix = [tuple(abs(i - j) for j in range(n + 1)) for i in range(n + 1)]
 
     # Pin every grid pair: witness staircase above, projection bound below.
+    # Staircases share their steps, so each grid step is checked against
+    # the adjacency oracle once, the first time a witness takes it.
     coords = [(i, j) for i in range(n + 1) for j in range(n + 1)]
+    points = {(i, j): graph.vertex(ray[i], j) for i, j in coords}
+    labels = {c: graph.serialize_vertex(v) for c, v in points.items()}
+    checked: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     entries = []
     for a in range(len(coords)):
         i, j = coords[a]
@@ -276,13 +276,16 @@ def certify_flat(
             i2, j2 = coords[b]
             expected = max(abs(i - i2), abs(j - j2))
             lower = max(matrix[i][i2], abs(j - j2))
-            witness = _staircase(graph, ray, (i, j), (i2, j2))
-            for u, v in zip(witness, witness[1:]):
-                if not graph.adjacent(u, v):
+            witness = _staircase((i, j), (i2, j2))
+            for step in zip(witness, witness[1:]):
+                key = step if step[0] < step[1] else step[::-1]
+                if key in checked:
+                    continue
+                if not graph.adjacent(points[step[0]], points[step[1]]):
                     raise CertificationError(
-                        f"witness step {graph.serialize_vertex(u)} -> "
-                        f"{graph.serialize_vertex(v)} is not an edge"
+                        f"witness step {labels[step[0]]} -> {labels[step[1]]} is not an edge"
                     )
+                checked.add(key)
             upper = len(witness) - 1
             if not (lower == upper == expected):
                 raise CertificationError(
@@ -300,7 +303,7 @@ def certify_flat(
                     target=(i2, j2),
                     distance=expected,
                     lower_bound=lower,
-                    witness=tuple(graph.serialize_vertex(v) for v in witness),
+                    witness=tuple(labels[c] for c in witness),
                 )
             )
 

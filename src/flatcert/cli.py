@@ -25,12 +25,7 @@ from .certify import (
     RayExtensionError,
     certify_flat,
 )
-from .engine import (
-    BudgetExceededError,
-    DistanceCapError,
-    InvalidVertexError,
-    document_from_ball,
-)
+from .engine import BudgetExceededError, DistanceCapError, InvalidVertexError
 from .fareygraph import FareyGraph
 from .handlebody import annular_intersection, parse_spotted_disk, push_disk
 from .slopes import parse_int, parse_slope, parse_spotted_arc, point_push
@@ -197,7 +192,7 @@ def _run(args, config: dict) -> int:
         g = FareyGraph(height_cap)
         a, b = parse_slope(args.a), parse_slope(args.b)
         if args.subcommand == "dist":
-            print(engine.bfs_distance(g, a, b, cap, max_visited=max_visited))
+            print(g.distance(a, b, cap, max_visited=max_visited))
         else:
             path = engine.geodesic(g, a, b, cap, max_visited=max_visited)
             print(" ".join(g.serialize_vertex(v) for v in path))
@@ -208,9 +203,9 @@ def _run(args, config: dict) -> int:
         x = g.parse_vertex(args.x)
         if args.subcommand == "dist":
             y = g.parse_vertex(args.y)
-            print(engine.bfs_distance(g, x, y, cap, max_visited=max_visited))
+            print(g.distance(x, y, cap, max_visited=max_visited))
         else:
-            members = engine.ball(g, x, args.radius, max_visited=max_visited)
+            members = g.ball(x, args.radius, max_visited=max_visited)
             for v in sorted(members, key=lambda v: (members[v], g.sort_key(v))):
                 print(f"{g.serialize_vertex(v)} {members[v]}")
         return 0
@@ -272,7 +267,7 @@ def _run(args, config: dict) -> int:
     if args.command == "export":
         g = build_graph(args.graph, height_cap)
         center = g.parse_vertex(args.center)
-        doc = document_from_ball(g, center, args.radius, max_visited=max_visited)
+        doc = g.document(center, args.radius, max_visited=max_visited)
         _emit(doc.to_json() if args.format == "json" else doc.to_dot(), args.out)
         return 0
 

@@ -4,7 +4,10 @@ A graph is given by a deterministic adjacency oracle over an (implicitly
 huge) vertex set, together with a text codec for vertices.  All distances,
 balls and geodesics are computed lazily by breadth-first search under
 explicit caps; distances beyond a cap are reported as one-sided lower
-bounds, never as failures.
+bounds, never as failures.  A graph's ``distance``, ``ball`` and
+``document`` methods run these searches; a graph that knows its metric
+(the twisted models answer from their Farey factor) overrides them, and
+the module functions stay the breadth-first checkers.
 
 The engine keeps no state between queries apart from an idempotent neighbor
 cache, so concurrent queries on the same graph are safe; results are always
@@ -17,6 +20,7 @@ import json
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Generic, Hashable, Iterable, Optional, Sequence, TypeVar, Union
 
 V = TypeVar("V", bound=Hashable)
@@ -97,6 +101,26 @@ class ImplicitGraph(ABC, Generic[V]):
 
     @abstractmethod
     def _compute_neighbors(self, v: V) -> Sequence[V]: ...
+
+    # -- metric queries: breadth-first search unless a subclass knows better --
+
+    def distance(
+        self, u: V, v: V, cap: int, *, max_visited: int = DEFAULT_MAX_VISITED
+    ) -> Distance:
+        """Exact distance if <= cap, else AtLeast(cap + 1); as :func:`bfs_distance`."""
+        return bfs_distance(self, u, v, cap, max_visited=max_visited)
+
+    def ball(
+        self, center: V, radius: int, *, max_visited: int = DEFAULT_MAX_VISITED
+    ) -> dict[V, int]:
+        """Vertex -> distance within the radius; as :func:`ball`."""
+        return ball(self, center, radius, max_visited=max_visited)
+
+    def document(
+        self, center: V, radius: int, *, max_visited: int = DEFAULT_MAX_VISITED
+    ) -> GraphDocument:
+        """Snapshot of the ball; as :func:`document_from_ball`."""
+        return document_from_ball(self, center, radius, max_visited=max_visited)
 
     @abstractmethod
     def contains(self, v: V) -> bool: ...
@@ -345,13 +369,28 @@ class GraphDocument:
     distances: tuple[tuple[str, str, Union[int, str]], ...]
 
     def to_json(self) -> str:
-        payload = {
-            "graph": self.graph,
-            "vertices": list(self.vertices),
-            "edges": [list(e) for e in self.edges],
-            "distances": [list(d) for d in self.distances],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """The schema above, byte for byte as ``json.dumps`` with ``indent=2``
+        and ``sort_keys=True`` writes it, plus a newline.
+
+        With ``indent`` json falls back to its pure-Python encoder; the
+        layout is fixed, so only the strings go through json's C escaper.
+        """
+        text = encode_basestring_ascii
+
+        def array(items: list[str]) -> str:
+            return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+        distances = [
+            f"[\n      {text(u)},\n      {text(v)},\n      "
+            f"{text(d) if isinstance(d, str) else d}\n    ]"
+            for u, v, d in self.distances
+        ]
+        edges = [f"[\n      {i},\n      {j}\n    ]" for i, j in self.edges]
+        return (
+            f'{{\n  "distances": {array(distances)},\n  "edges": {array(edges)},\n'
+            f'  "graph": {text(self.graph)},\n'
+            f'  "vertices": {array([text(v) for v in self.vertices])}\n}}\n'
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "GraphDocument":

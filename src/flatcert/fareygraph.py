@@ -4,7 +4,9 @@ The Farey graph is the arc graph of a one-holed torus: vertices are
 canonical slopes, edges join slopes with cross determinant 1.  Every vertex
 has infinite degree, so the graph carries an explicit height cap: it is the
 subgraph induced on slopes of height at most the cap.  The twisted disk and
-sphere models are all :class:`TwistedGraph`, which adds a twist step.
+sphere models are all :class:`TwistedGraph`, which adds a twist step; as a
+strong product its distances, balls and exports follow from the Farey
+factor, and breadth-first search over the product stays their checker.
 """
 
 from __future__ import annotations
@@ -12,7 +14,16 @@ from __future__ import annotations
 from abc import abstractmethod
 from bisect import insort
 
-from .engine import ImplicitGraph, V
+from .engine import (
+    DEFAULT_MAX_VISITED,
+    AtLeast,
+    BudgetExceededError,
+    Distance,
+    GraphDocument,
+    ImplicitGraph,
+    V,
+    _require_vertex,
+)
 from .slopes import (
     Slope,
     disjoint,
@@ -67,6 +78,11 @@ class TwistedGraph(ImplicitGraph[V]):
     ``_split(v) -> (arc, twist)``, ``serialize_vertex`` and
     ``parse_vertex``.  ``vertex(arc, twist)``, the inverse of ``_split``,
     calls ``vertex_type(arc, twist)``.
+
+    ``distance``, ``ball`` and ``document`` answer from the factor graph
+    ``farey`` by the strong-product metric (:meth:`_product_distance`),
+    with the same results and errors as breadth-first search over the
+    product; only the statistics of a budget error differ.
     """
 
     name: str
@@ -78,6 +94,7 @@ class TwistedGraph(ImplicitGraph[V]):
             raise ValueError("height_cap must be >= 1")
         super().__init__(name=self.name)
         self.height_cap = height_cap
+        self.farey = FareyGraph(height_cap)
 
     @abstractmethod
     def _split(self, v: V) -> tuple[Slope, int]: ...
@@ -114,3 +131,87 @@ class TwistedGraph(ImplicitGraph[V]):
     def sort_key(self, v: V):
         arc, k = self._split(v)
         return (stern_brocot_key(arc), k)
+
+    # -- metric queries from the Farey factor --
+
+    def _product_distance(self, arc_d: Distance, dk: int) -> Distance:
+        """max(arc distance, twist steps): the strong-product metric.
+
+        A twist difference dk takes ceil(|dk| / twist_gap) steps.  ``arc_d``
+        may be a lower bound, and the result is then one too.
+        """
+        steps = -(-abs(dk) // self.twist_gap)
+        if isinstance(arc_d, AtLeast):
+            return AtLeast(max(arc_d.bound, steps))
+        return max(arc_d, steps)
+
+    def distance(
+        self, u: V, v: V, cap: int, *, max_visited: int = DEFAULT_MAX_VISITED
+    ) -> Distance:
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
+        _require_vertex(self, u)
+        _require_vertex(self, v)
+        (a, k), (b, l) = self._split(u), self._split(v)
+        if self._product_distance(0, k - l) > cap:
+            return AtLeast(cap + 1)
+        arc_d = self.farey.distance(a, b, cap, max_visited=max_visited)
+        return self._product_distance(arc_d, k - l)
+
+    def _factor_ball(
+        self, center: V, radius: int, max_visited: int
+    ) -> tuple[dict[Slope, int], int, range]:
+        """The Farey ball of center's arc, center's twist, and the twist offsets.
+
+        Raises BudgetExceededError exactly when breadth-first search over
+        the product would: the product ball has more than max_visited
+        vertices (a lone center never counts).  The error reports the
+        product ball's size as visited, and no product edges scanned.
+        """
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        _require_vertex(self, center)
+        arc, k = self._split(center)
+        arcs = self.farey.ball(arc, radius, max_visited=max_visited)
+        reach = radius * self.twist_gap
+        size = len(arcs) * (2 * reach + 1)
+        if size > max(max_visited, 1):
+            raise BudgetExceededError(size, 0, radius)
+        return arcs, k, range(-reach, reach + 1)
+
+    def ball(
+        self, center: V, radius: int, *, max_visited: int = DEFAULT_MAX_VISITED
+    ) -> dict[V, int]:
+        arcs, k, offsets = self._factor_ball(center, radius, max_visited)
+        make, product = self.vertex, self._product_distance
+        return {make(b, k + dk): product(d, dk) for b, d in arcs.items() for dk in offsets}
+
+    def document(
+        self, center: V, radius: int, *, max_visited: int = DEFAULT_MAX_VISITED
+    ) -> GraphDocument:
+        # Members sort by arc, then twist, so (arc p, offset x) has index
+        # p * width + x.  Edges leave i = (p, x) upward to later twists of
+        # arc p, then to twists x +- gap of each later adjacent arc q: in
+        # that order j ascends, so the edge list comes out sorted.
+        arcs, k, offsets = self._factor_ball(center, radius, max_visited)
+        order = sorted(arcs, key=stern_brocot_key)
+        index = {b: p for p, b in enumerate(order)}
+        width, gap = len(offsets), self.twist_gap
+        edges = []
+        for p, b in enumerate(order):
+            later = [index[w] * width for w in self.farey.neighbors(b) if index.get(w, -1) > p]
+            for x in range(width):
+                i, lo, hi = p * width + x, max(x - gap, 0), min(x + gap + 1, width)
+                edges += [(i, p * width + y) for y in range(x + 1, hi)]
+                for base in later:
+                    edges += [(i, base + y) for y in range(lo, hi)]
+        make, label, product = self.vertex, self.serialize_vertex, self._product_distance
+        labels = tuple(label(make(b, k + dk)) for b in order for dk in offsets)
+        dists = [product(arcs[b], dk) for b in order for dk in offsets]
+        center_s = label(center)
+        return GraphDocument(
+            graph=self.name,
+            vertices=labels,
+            edges=tuple(edges),
+            distances=tuple((center_s, s, d) for s, d in zip(labels, dists)),
+        )

@@ -3,8 +3,8 @@
 Each suite runs a battery of exhaustive and seeded-random checks and
 reports one pass/fail line per property group.  The failure-injection mode
 swaps a deliberately wrong component into the same battery (a widened
-twist rule, or an intersection count without its offset) to demonstrate
-that the checks would catch it.
+twist rule, an intersection count without its offset, or the l1 sum in
+place of the product metric) to demonstrate that the checks would catch it.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ INJECTIONS = {
     # Skip the last mediant of the Farey distance oracle's final run: must
     # break the farey-distance comparison with BFS.
     "ladder-drop-rung",
+    # Answer twisted distances, balls and exports with arc + twist instead
+    # of the max: must break product-path in the omega and sphere suites.
+    "product-l1",
 }
 
 
@@ -232,6 +235,22 @@ class _SphereTwistGap2(SphereGraph):
     twist_gap = 2
 
 
+class _ProductL1:
+    """Mixin: the Farey-factor answers combine arc and twist by their sum."""
+
+    def _product_distance(self, arc_d, dk):
+        steps = super()._product_distance(0, dk)
+        return AtLeast(arc_d.bound + steps) if isinstance(arc_d, AtLeast) else arc_d + steps
+
+
+class _DiskProductL1(_ProductL1, SpottedDiskGraph):
+    pass
+
+
+class _SphereProductL1(_ProductL1, SphereGraph):
+    pass
+
+
 def _ladder_drop_rung(a: Slope, b: Slope) -> int:
     """:func:`farey_distance` with the last mediant of its final run skipped.
 
@@ -262,6 +281,36 @@ def _check_farey_distance(rng: random.Random, oracle: Callable[[Slope, Slope], i
         if got != want:
             bad.append(f"farey_distance({a}, {b}) = {got}, BFS {want}")
     return _result("arc", "farey-distance", bad, "60 random pairs equal capped BFS")
+
+
+# --- twisted models: the Farey-factor answers against BFS -----------------------
+
+
+def _check_product_path(suite: str, graph, center) -> CheckResult:
+    """The graph's own ball, document and distance equal the engine's BFS.
+
+    Every ordered pair of a radius-1 ball (distances up to 2) is compared
+    at caps 1 and 2, so both exact values and ">=2" answers occur.
+    """
+    bad = []
+    for radius in range(3):
+        if graph.ball(center, radius) != engine.ball(graph, center, radius):
+            bad.append(f"ball of radius {radius} differs from BFS")
+        if graph.document(center, radius) != engine.document_from_ball(graph, center, radius):
+            bad.append(f"document of radius {radius} differs from BFS")
+    members = sorted(engine.ball(graph, center, 1), key=graph.sort_key)
+    for x, y in itertools.product(members, repeat=2):
+        for cap in (1, 2):
+            got, want = graph.distance(x, y, cap), engine.bfs_distance(graph, x, y, cap)
+            if got != want:
+                bad.append(
+                    f"d({graph.serialize_vertex(x)}, {graph.serialize_vertex(y)}) at cap "
+                    f"{cap} = {got}, BFS {want}"
+                )
+    return _result(
+        suite, "product-path", bad,
+        f"balls, documents and {len(members) ** 2} pairs at caps 1-2 equal BFS",
+    )
 
 
 # --- omega suite -------------------------------------------------------------
@@ -536,8 +585,12 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
         raise ValueError(f"unknown injection {inject!r}; expected one of {sorted(INJECTIONS)}")
 
     twist_gap = 2 if inject == "omega-twist-gap-2" else 1
-    disk_graph_factory = lambda cap: SpottedDiskGraph(cap, twist_gap=twist_gap)
-    sphere_graph_factory = _SphereTwistGap2 if inject == "sphere-twist-gap-2" else SphereGraph
+    disk_graph_type = _DiskProductL1 if inject == "product-l1" else SpottedDiskGraph
+    disk_graph_factory = lambda cap: disk_graph_type(cap, twist_gap=twist_gap)
+    sphere_graph_factory = {
+        "sphere-twist-gap-2": _SphereTwistGap2,
+        "product-l1": _SphereProductL1,
+    }.get(inject, SphereGraph)
     annular: Callable[[int, int], int] = annular_intersection
     if inject == "annular-no-offset":
         annular = lambda k, ell: 2 * abs(k - ell)
@@ -564,6 +617,9 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
             _check_omega_push_automorphism(disk_graph_factory, rng),
             _check_annular_table(annular, disk_graph_factory),
             _check_engine_consistency(rng),
+            _check_product_path(
+                "omega", disk_graph_factory(3), SpottedDisk(canonicalize(-1, 2), -3)
+            ),
         ]
     if name in ("sphere", "all"):
         rng = random.Random(rng_seed + 2)
@@ -572,5 +628,8 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
             _check_diagram_commutation(rng),
             _check_doubling_isomorphism(sphere_graph_factory),
             _check_sphere_product_metric(sphere_graph_factory),
+            _check_product_path(
+                "sphere", sphere_graph_factory(3), SpottedSphere(canonicalize(-1, 2), -3)
+            ),
         ]
     return SuiteReport(suite=name, injection=inject, results=tuple(results))

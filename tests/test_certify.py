@@ -7,6 +7,7 @@ from flatcert import (
     FareyGraph,
     RayExtensionError,
     SphereGraph,
+    SpottedDisk,
     SpottedDiskGraph,
     bfs_distance,
     certify_flat,
@@ -16,7 +17,7 @@ from flatcert import (
     parse_spotted_sphere,
     run_suite,
 )
-from flatcert.certify import CertificationError, check_ray_row
+from flatcert.certify import MODELS, CertificationError, check_ray_row
 from flatcert.engine import ball
 from util import S
 
@@ -153,6 +154,37 @@ class TestCertifyFlat:
             path = [parse_spotted_disk(s) for s in e.witness]
             assert all(g.adjacent(u, v) for u, v in zip(path, path[1:]))
 
+    @pytest.mark.parametrize(
+        "step",
+        [((2, 1), (3, 1)), ((2, 1), (2, 2)), ((2, 1), (3, 2)), ((3, 1), (2, 2))],
+        ids=["ray", "twist", "diagonal", "antidiagonal"],
+    )
+    def test_a_rejected_grid_step_fails_certification(self, monkeypatch, step):
+        ray = extend_geodesic_ray(FareyGraph(64), (S(0, 1), INFINITY), 4)
+        broken = {SpottedDisk(ray[i], j) for i, j in step}
+
+        class OneNonEdge(SpottedDiskGraph):
+            def adjacent(self, u, v):
+                return {u, v} != broken and super().adjacent(u, v)
+
+        monkeypatch.setitem(MODELS, "omega", OneNonEdge)
+        with pytest.raises(CertificationError, match="witness step"):
+            certify_flat(4, (S(0, 1), INFINITY), height_cap=64)
+
+    def test_each_grid_step_is_checked_once(self, monkeypatch):
+        calls = []
+
+        class Counting(SpottedDiskGraph):
+            def adjacent(self, u, v):
+                calls.append((u, v))
+                return super().adjacent(u, v)
+
+        monkeypatch.setitem(MODELS, "omega", Counting)
+        n = 4
+        certify_flat(n, (S(0, 1), INFINITY), height_cap=64)
+        # Rows, columns and both diagonals of an (n+1) x (n+1) grid.
+        assert len(calls) == len({frozenset(c) for c in calls}) == 4 * n * n + 2 * n
+
     def test_sphere_model_variant(self):
         cert = certify_flat(6, (S(0, 1), INFINITY), model="sphere", height_cap=128)
         assert cert.model == "sphere(g=2)"
@@ -269,6 +301,19 @@ class TestSuites:
             ("sphere", "doubling-isomorphism"),
             ("sphere", "product-metric"),
         }
+
+    def test_product_l1_injection_breaks_product_path_only(self):
+        report = run_suite("all", inject="product-l1")
+        failed = {(r.suite, r.group) for r in report.results if not r.passed}
+        assert failed == {("omega", "product-path"), ("sphere", "product-path")}
+
+    @pytest.mark.parametrize(
+        "suite, inject", [("omega", "omega-twist-gap-2"), ("sphere", "sphere-twist-gap-2")]
+    )
+    def test_product_path_honours_a_wider_twist_rule(self, suite, inject):
+        report = run_suite(suite, inject=inject)
+        (path,) = [r for r in report.results if r.group == "product-path"]
+        assert path.passed
 
     def test_reports_are_seed_deterministic(self):
         a = run_suite("arc", rng_seed=5)

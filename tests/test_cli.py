@@ -110,6 +110,15 @@ class TestExitCodes:
         )
         assert code == 3 and "budget" in err
 
+    def test_omega_dist_searches_only_the_farey_factor(self, capsys):
+        # BFS over (arc, twist) pairs needs thousands of vertices to reach
+        # twist 9; the Farey factor needs one level.
+        code, out, _ = run_cli(
+            capsys, "omega", "dist", "0/1@0", "1/2@9",
+            "--cap", "16", "--height-cap", "32", "--max-visited", "2000",
+        )
+        assert code == 0 and out.strip() == "9"
+
     def test_ray_failure_is_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "certify-flat", "--n", "6", "--height-cap", "8"

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from flatcert import (
     INFINITY,
@@ -234,3 +236,34 @@ class TestOracleContract:
         g = FareyGraph(9)
         v = S(2, 3)
         assert g.neighbors(v) == tuple(FareyGraph(9).neighbors(v))
+
+
+# Quotes, backslashes, control and non-ASCII characters, plus anything else.
+_labels = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\U0001d11e'), st.characters()),
+    max_size=6,
+)
+_distances = st.one_of(
+    st.integers(-(10**20), 10**20), st.integers(0, 10**6).map(lambda b: f">={b}")
+)
+_documents = st.builds(
+    GraphDocument,
+    graph=_labels,
+    vertices=st.lists(_labels, max_size=4).map(tuple),
+    edges=st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 10**9)), max_size=4).map(tuple),
+    distances=st.lists(st.tuples(_labels, _labels, _distances), max_size=4).map(tuple),
+)
+
+
+@given(_documents)
+@example(GraphDocument("farey", (), (), ()))
+@example(GraphDocument('a"b\\c', ("0/1", "x\ny"), ((0, 1),), (("0/1", "0/1", 0), ("0/1", "é", ">=3"))))
+def test_to_json_is_the_json_module_encoding(doc):
+    payload = {
+        "graph": doc.graph,
+        "vertices": list(doc.vertices),
+        "edges": [list(e) for e in doc.edges],
+        "distances": [list(d) for d in doc.distances],
+    }
+    assert doc.to_json() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert GraphDocument.from_json(doc.to_json()) == doc

@@ -11,11 +11,17 @@ from flatcert import (
     canonicalize,
 )
 from flatcert.cli import GRAPH_KINDS, build_graph
+from flatcert.engine import (
+    BudgetExceededError,
+    InvalidVertexError,
+    ball,
+    bfs_distance,
+    document_from_ball,
+)
 from oracles import all_slopes, neighbors_bf
 from util import S
 
-
-@pytest.mark.parametrize(
+twisted_graphs = pytest.mark.parametrize(
     "graph",
     [
         SpottedDiskGraph(6),
@@ -25,6 +31,9 @@ from util import S
     ],
     ids=lambda g: f"{g.name}-gap{g.twist_gap}",
 )
+
+
+@twisted_graphs
 def test_neighbor_lists_are_the_strong_product_in_sort_key_order(graph):
     gap = graph.twist_gap
     for pq in all_slopes(6):
@@ -75,3 +84,78 @@ def test_codec_roundtrip_with_huge_values_and_whitespace(kind, arc, twist, befor
     g = build_graph(kind, 1)
     v = arc if kind == "farey" else g.vertex(arc, twist)
     assert g.parse_vertex(before + g.serialize_vertex(v) + after) == v
+
+
+# --- distances, balls and documents from the Farey factor, against BFS -------
+
+#: (arc, twist) of query centers, negative arcs and twists included.
+CENTERS = [((0, 1), 0), ((-2, 5), -3), ((1, 0), 4), ((-3, 1), -1)]
+
+
+def centers(graph):
+    return [graph.vertex(S(*pq), k) for pq, k in CENTERS]
+
+
+@twisted_graphs
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_ball_equals_bfs(graph, radius):
+    for c in centers(graph):
+        assert graph.ball(c, radius) == ball(graph, c, radius)
+
+
+@twisted_graphs
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_document_equals_bfs(graph, radius):
+    for c in centers(graph):
+        assert graph.document(c, radius) == document_from_ball(graph, c, radius)
+
+
+@twisted_graphs
+def test_distance_equals_bfs(graph):
+    # Every member of each center's radius-1 ball, and targets whose twist
+    # alone is 3 to 5 steps away, at caps 1-4: exact values and ">=c".
+    gap = graph.twist_gap
+    for pq, k in CENTERS:
+        c = graph.vertex(S(*pq), k)
+        targets = list(ball(graph, c, 1)) + [
+            graph.vertex(S(*far), k + sign * steps * gap)
+            for far in ((1, 0), (-1, 2), (5, 6))
+            for sign, steps in ((1, 3), (-1, 4), (1, 5))
+        ]
+        for v in targets:
+            for cap in (1, 2, 3, 4):
+                assert graph.distance(c, v, cap) == bfs_distance(graph, c, v, cap), (c, v, cap)
+
+
+@twisted_graphs
+@pytest.mark.parametrize("radius", [1, 2])
+def test_budget_matches_bfs(graph, radius):
+    c = graph.vertex(S(-1, 2), -2)
+    size = len(ball(graph, c, radius))
+    with pytest.raises(BudgetExceededError):
+        ball(graph, c, radius, max_visited=size - 1)
+    for query in (graph.ball, graph.document):
+        with pytest.raises(BudgetExceededError):
+            query(c, radius, max_visited=size - 1)
+    assert len(graph.ball(c, radius, max_visited=size)) == size
+    assert len(graph.document(c, radius, max_visited=size).vertices) == size
+
+
+@twisted_graphs
+def test_bad_queries_raise_like_bfs(graph):
+    inside, outside = graph.vertex(S(0, 1), 0), graph.vertex(S(1, 7), 0)
+    cases = [
+        (lambda: graph.distance(inside, inside, 0), lambda: bfs_distance(graph, inside, inside, 0)),
+        (lambda: graph.distance(outside, outside, 0), lambda: bfs_distance(graph, outside, outside, 0)),
+        (lambda: graph.distance(outside, inside, 2), lambda: bfs_distance(graph, outside, inside, 2)),
+        (lambda: graph.distance(inside, outside, 2), lambda: bfs_distance(graph, inside, outside, 2)),
+        (lambda: graph.ball(inside, -1), lambda: ball(graph, inside, -1)),
+        (lambda: graph.ball(outside, 1), lambda: ball(graph, outside, 1)),
+        (lambda: graph.document(inside, -1), lambda: document_from_ball(graph, inside, -1)),
+        (lambda: graph.document(outside, 1), lambda: document_from_ball(graph, outside, 1)),
+    ]
+    for product, bfs in cases:
+        with pytest.raises((ValueError, InvalidVertexError)) as want:
+            bfs()
+        with pytest.raises(type(want.value)):
+            product()
