@@ -155,11 +155,12 @@ def extend_geodesic_ray(
 
     Each new vertex is the Stern-Brocot-least neighbor of the current tip
     whose exact Farey distance from the ray start (:func:`farey_distance`,
-    a continued-fraction computation) is one more than the tip's.  That
-    distance is taken without the height cap, so it is a lower bound on the
-    capped one, and the ray itself is a capped path of the same length:
-    the two meet, and d(ray[0], ray[j]) = j in the capped graph.  With
-    adjacency of consecutive vertices the triangle inequality then pins
+    a continued-fraction computation) is one more than the tip's
+    (:meth:`FareyGraph.ladder_step`).  That distance is taken without the
+    height cap, so it is a lower bound on the capped one, and the ray
+    itself is a capped path of the same length: the two meet, and
+    d(ray[0], ray[j]) = j in the capped graph.  With adjacency of
+    consecutive vertices the triangle inequality then pins
     d(ray[i], ray[j]) = |i - j| for all i, j.  No BFS ball is built.
 
     ``distances``, if given, receives the oracle distance of every slope
@@ -171,18 +172,12 @@ def extend_geodesic_ray(
     for s in seed_pair:
         if not farey.contains(s):
             raise ValueError(f"seed slope {s} exceeds height cap {farey.height_cap}")
-    if distances is None:
-        distances = {}
     ray = [start, second]
     while len(ray) <= length:
-        wanted = len(ray)
-        for candidate in farey.neighbors(ray[-1]):
-            distances[candidate] = farey_distance(start, candidate)
-            if distances[candidate] == wanted:
-                ray.append(candidate)
-                break
-        else:
+        step = farey.ladder_step(ray[-1], start, len(ray), distances)
+        if step is None:
             raise RayExtensionError(ray, length)
+        ray.append(step)
     return ray
 
 

@@ -194,7 +194,7 @@ def _run(args, config: dict) -> int:
         if args.subcommand == "dist":
             print(g.distance(a, b, cap, max_visited=max_visited))
         else:
-            path = engine.geodesic(g, a, b, cap, max_visited=max_visited)
+            path = g.geodesic(a, b, cap, max_visited=max_visited)
             print(" ".join(g.serialize_vertex(v) for v in path))
         return 0
 

@@ -6,8 +6,10 @@ balls and geodesics are computed lazily by breadth-first search under
 explicit caps; distances beyond a cap are reported as one-sided lower
 bounds, never as failures.  A graph's ``distance``, ``ball`` and
 ``document`` methods run these searches; a graph that knows its metric
-(the twisted models answer from their Farey factor) overrides them, and
-the module functions stay the breadth-first checkers.
+(the Farey graph walks its ladder, the twisted models answer from their
+Farey factor) overrides them, and the module functions stay the
+breadth-first checkers.  A geodesic, alone or in a distance sample, costs
+one search from its target.
 
 The engine keeps no state between queries apart from an idempotent neighbor
 cache, so concurrent queries on the same graph are safe; results are always
@@ -261,6 +263,38 @@ def ball(
     return dist
 
 
+def _distance_cap_error(g: ImplicitGraph[V], u: V, v: V, cap: int) -> DistanceCapError:
+    """What a geodesic query raises when d(u, v) exceeds the cap."""
+    return DistanceCapError(
+        f"distance({g.serialize_vertex(u)}, {g.serialize_vertex(v)}) {AtLeast(cap + 1)}"
+    )
+
+
+def _geodesic_search(
+    g: ImplicitGraph[V], u: V, v: V, cap: int, max_visited: int
+) -> tuple[Optional[list[V]], int, int]:
+    """One BFS from v that stops at u: (geodesic, or None past the cap; visited; edges).
+
+    Each step goes to the first neighbor in oracle order one level closer
+    to v.  When the search stops at u, at distance d, every level below d
+    is complete, so the path is the one a full ball around v gives.
+    """
+    if u == v:
+        return [u], 1, 0
+    from_target, hit, edges = _expand(g, v, cap, max_visited, stop_at=u)
+    if hit is None:
+        return None, len(from_target), edges
+    path = [u]
+    for remaining in range(hit, 0, -1):
+        for w in g.neighbors(path[-1]):
+            if from_target.get(w) == remaining - 1:
+                path.append(w)
+                break
+        else:  # pragma: no cover - violates BFS correctness
+            raise EngineError("geodesic reconstruction lost the target level")
+    return path, len(from_target), edges
+
+
 def geodesic(
     g: ImplicitGraph[V],
     u: V,
@@ -274,25 +308,15 @@ def geodesic(
     Among all geodesics this returns the lexicographically least one with
     respect to the graph's vertex order (Stern-Brocot order for slope
     graphs).  Raises DistanceCapError when the distance exceeds the cap.
+    One breadth-first search from v finds it.
     """
-    d = bfs_distance(g, u, v, cap, max_visited=max_visited)
-    if isinstance(d, AtLeast):
-        raise DistanceCapError(
-            f"distance({g.serialize_vertex(u)}, {g.serialize_vertex(v)}) {d}"
-        )
-    if d == 0:
-        return [u]
-    from_target = ball(g, v, d, max_visited=max_visited)
-    path = [u]
-    current = u
-    for remaining in range(d, 0, -1):
-        for w in g.neighbors(current):
-            if from_target.get(w) == remaining - 1:
-                current = w
-                break
-        else:  # pragma: no cover - violates BFS correctness
-            raise EngineError("geodesic reconstruction lost the target level")
-        path.append(current)
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    _require_vertex(g, u)
+    _require_vertex(g, v)
+    path, _, _ = _geodesic_search(g, u, v, cap, max_visited)
+    if path is None:
+        raise _distance_cap_error(g, u, v, cap)
     return path
 
 
@@ -329,24 +353,19 @@ def sample_distances(
     *,
     max_visited: int = DEFAULT_MAX_VISITED,
 ) -> MetricSample[V]:
-    """Distance plus a witness geodesic for each vertex pair."""
+    """Distance plus a witness geodesic for each vertex pair, one search each."""
     records = []
     visited = edges = 0
     for u, v in pairs:
         _require_vertex(g, u)
         _require_vertex(g, v)
-        if u == v:
-            records.append(DistanceRecord(u, v, 0, (u,)))
-            visited += 1
-            continue
-        dist, hit, scanned = _expand(g, u, cap, max_visited, stop_at=v)
-        visited += len(dist)
+        path, seen, scanned = _geodesic_search(g, u, v, cap, max_visited)
+        visited += seen
         edges += scanned
-        if hit is None:
+        if path is None:
             records.append(DistanceRecord(u, v, AtLeast(cap + 1), None))
         else:
-            path = tuple(geodesic(g, u, v, cap, max_visited=max_visited))
-            records.append(DistanceRecord(u, v, hit, path))
+            records.append(DistanceRecord(u, v, len(path) - 1, tuple(path)))
     return MetricSample(g.name, cap, tuple(records), visited, edges)
 
 

@@ -3,17 +3,22 @@
 The Farey graph is the arc graph of a one-holed torus: vertices are
 canonical slopes, edges join slopes with cross determinant 1.  Every vertex
 has infinite degree, so the graph carries an explicit height cap: it is the
-subgraph induced on slopes of height at most the cap.  The twisted disk and
-sphere models are all :class:`TwistedGraph`, which adds a twist step; as a
-strong product its distances, balls and exports follow from the Farey
-factor, and breadth-first search over the product stays their checker.
+subgraph induced on slopes of height at most the cap.  Its distances and
+geodesics come from a ladder walk: :func:`farey_distance` bounds the capped
+distance from below, and a path that meets the bound pins it.  The twisted
+disk and sphere models are all :class:`TwistedGraph`, which adds a twist
+step; as a strong product its distances, balls and exports follow from the
+Farey factor.  Breadth-first search (:mod:`flatcert.engine`) stays the
+checker of both.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
 from bisect import insort
+from typing import Optional, Union
 
+from . import engine
 from .engine import (
     DEFAULT_MAX_VISITED,
     AtLeast,
@@ -22,11 +27,13 @@ from .engine import (
     GraphDocument,
     ImplicitGraph,
     V,
+    _distance_cap_error,
     _require_vertex,
 )
 from .slopes import (
     Slope,
     disjoint,
+    farey_distance,
     farey_neighbors,
     format_slope,
     pairing,
@@ -36,7 +43,11 @@ from .slopes import (
 
 
 class FareyGraph(ImplicitGraph[Slope]):
-    """Slopes of height <= height_cap, joined when their pairing is 1."""
+    """Slopes of height <= height_cap, joined when their pairing is 1.
+
+    ``distance`` and ``geodesic`` answer by a ladder walk, with the same
+    results and errors as breadth-first search (:meth:`_ladder_walk`).
+    """
 
     def __init__(self, height_cap: int):
         if height_cap < 1:
@@ -66,6 +77,83 @@ class FareyGraph(ImplicitGraph[Slope]):
 
     def sort_key(self, v: Slope):
         return stern_brocot_key(v)
+
+    # -- metric queries by the ladder walk --
+
+    def _ladder_distance(self, a: Slope, b: Slope) -> int:
+        """The lower bound the walk trusts: :func:`farey_distance`."""
+        return farey_distance(a, b)
+
+    def ladder_step(
+        self,
+        tip: Slope,
+        anchor: Slope,
+        wanted: int,
+        distances: Optional[dict[Slope, int]] = None,
+    ) -> Optional[Slope]:
+        """The Stern-Brocot-least neighbor of tip at Farey distance wanted
+        from anchor, or None.
+
+        ``distances``, if given, receives the distance of every neighbor
+        evaluated.
+        """
+        for candidate in self.neighbors(tip):
+            d = self._ladder_distance(anchor, candidate)
+            if distances is not None:
+                distances[candidate] = d
+            if d == wanted:
+                return candidate
+        return None
+
+    def _ladder_walk(self, u: Slope, v: Slope, cap: int) -> Union[list[Slope], AtLeast, None]:
+        """The least geodesic from u to v, AtLeast(cap + 1), or None if stuck.
+
+        d = farey_distance(u, v) is a lower bound on the capped distance;
+        past the cap the answer is AtLeast(cap + 1).  Otherwise each step
+        takes the first neighbor one closer to v.  A walk that reaches v is
+        a capped path of length d, so it pins the capped distance at d, and
+        every vertex on it at its Farey distance from v.  A neighbor earlier
+        in Stern-Brocot order is at Farey distance, hence capped distance,
+        at least the tip's, so breadth-first reconstruction picks the same
+        step: the walk is :func:`engine.geodesic`'s path.  None means no
+        neighbor qualified: the tip's capped distance to v exceeds its
+        Farey distance, a counterexample to the ladder-height lemma (capping
+        at the larger endpoint height keeps Farey distances).  Callers then
+        fall back to breadth-first search.
+        """
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
+        _require_vertex(self, u)
+        _require_vertex(self, v)
+        d = self._ladder_distance(u, v)
+        if d > cap:
+            return AtLeast(cap + 1)
+        path = [u]
+        for remaining in range(d - 1, -1, -1):
+            step = self.ladder_step(path[-1], v, remaining)
+            if step is None:
+                return None
+            path.append(step)
+        return path
+
+    def distance(
+        self, u: Slope, v: Slope, cap: int, *, max_visited: int = DEFAULT_MAX_VISITED
+    ) -> Distance:
+        walk = self._ladder_walk(u, v, cap)
+        if walk is None:
+            return engine.bfs_distance(self, u, v, cap, max_visited=max_visited)
+        return walk if isinstance(walk, AtLeast) else len(walk) - 1
+
+    def geodesic(
+        self, u: Slope, v: Slope, cap: int, *, max_visited: int = DEFAULT_MAX_VISITED
+    ) -> list[Slope]:
+        """The lexicographically least geodesic; as :func:`engine.geodesic`."""
+        walk = self._ladder_walk(u, v, cap)
+        if walk is None:
+            return engine.geodesic(self, u, v, cap, max_visited=max_visited)
+        if isinstance(walk, AtLeast):
+            raise _distance_cap_error(self, u, v, cap)
+        return walk
 
 
 class TwistedGraph(ImplicitGraph[V]):

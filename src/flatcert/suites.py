@@ -3,12 +3,14 @@
 Each suite runs a battery of exhaustive and seeded-random checks and
 reports one pass/fail line per property group.  The failure-injection mode
 swaps a deliberately wrong component into the same battery (a widened
-twist rule, an intersection count without its offset, or the l1 sum in
-place of the product metric) to demonstrate that the checks would catch it.
+twist rule, an intersection count without its offset, a Farey distance
+that skips a ladder rung, or the l1 sum in place of the product metric) to
+demonstrate that the checks would catch it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -79,6 +81,9 @@ INJECTIONS = {
     # Answer twisted distances, balls and exports with arc + twist instead
     # of the max: must break product-path in the omega and sphere suites.
     "product-l1",
+    # Let the Farey graph's ladder walk trust the ladder-drop-rung bound:
+    # must break the farey-walk comparison with BFS.
+    "walk-drop-rung",
 }
 
 
@@ -281,6 +286,53 @@ def _check_farey_distance(rng: random.Random, oracle: Callable[[Slope, Slope], i
         if got != want:
             bad.append(f"farey_distance({a}, {b}) = {got}, BFS {want}")
     return _result("arc", "farey-distance", bad, "60 random pairs equal capped BFS")
+
+
+class _WalkDropRung(FareyGraph):
+    """:class:`FareyGraph` whose ladder walk trusts :func:`_ladder_drop_rung`."""
+
+    def _ladder_distance(self, a, b):
+        return _ladder_drop_rung(a, b)
+
+
+def _geodesic_text(query: Callable, a: Slope, b: Slope, cap: int) -> str:
+    """The path query(a, b, cap) returns, or the text of its cap error."""
+    try:
+        return " ".join(format_slope(s) for s in query(a, b, cap))
+    except engine.DistanceCapError as exc:
+        return str(exc)
+
+
+def _check_farey_walk(rng: random.Random, graph_type: type) -> CheckResult:
+    """The graph's ladder-walk distance and geodesic equal the engine's BFS.
+
+    Every ordered pair of height <= 6 is compared at caps 1-4, so ">=c"
+    answers and cap errors occur, and 40 random pairs at height 60 at cap 16.
+    """
+    small = sorted(
+        {canonicalize(p, q) for p in range(-6, 7) for q in range(7) if (p, q) != (0, 0)},
+        key=stern_brocot_key,
+    )
+    cases = [(6, cap, a, b) for a, b in itertools.product(small, repeat=2) for cap in range(1, 5)]
+    cases += [(60, 16, _random_slope(rng), _random_slope(rng)) for _ in range(40)]
+    graphs = {h: (graph_type(h), FareyGraph(h)) for h in (6, 60)}
+    bad = []
+    for h, cap, a, b in cases:
+        walk, bfs = graphs[h]
+        got = (walk.distance(a, b, cap), _geodesic_text(walk.geodesic, a, b, cap))
+        want = (
+            engine.bfs_distance(bfs, a, b, cap),
+            _geodesic_text(functools.partial(engine.geodesic, bfs), a, b, cap),
+        )
+        if got != want:
+            bad.append(
+                f"({a}, {b}) at height {h}, cap {cap}: walk {got[0]} [{got[1]}], "
+                f"BFS {want[0]} [{want[1]}]"
+            )
+    return _result(
+        "arc", "farey-walk", bad,
+        f"{len(small) ** 2} pairs at caps 1-4 and 40 random pairs equal BFS",
+    )
 
 
 # --- twisted models: the Farey-factor answers against BFS -----------------------
@@ -595,6 +647,7 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
     if inject == "annular-no-offset":
         annular = lambda k, ell: 2 * abs(k - ell)
     distance_oracle = _ladder_drop_rung if inject == "ladder-drop-rung" else farey_distance
+    walk_graph_type = _WalkDropRung if inject == "walk-drop-rung" else FareyGraph
 
     results: list[CheckResult] = []
     if name in ("arc", "all"):
@@ -607,6 +660,7 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
             _check_spot_forget(rng),
             _check_text_roundtrip(rng),
             _check_farey_distance(rng, distance_oracle),
+            _check_farey_walk(rng, walk_graph_type),
         ]
     if name in ("omega", "all"):
         rng = random.Random(rng_seed + 1)

@@ -293,6 +293,13 @@ class TestSuites:
         failed = {r.group for r in report.results if not r.passed}
         assert failed == {"farey-distance"}
 
+    def test_walk_injection_breaks_farey_walk_only(self):
+        clean = run_suite("arc")
+        assert "farey-walk" in {r.group for r in clean.results if r.passed}
+        report = run_suite("all", inject="walk-drop-rung")
+        failed = {(r.suite, r.group) for r in report.results if not r.passed}
+        assert failed == {("arc", "farey-walk")}
+
     def test_sphere_twist_gap_injection_breaks_three_sphere_groups(self):
         report = run_suite("all", inject="sphere-twist-gap-2")
         failed = {(r.suite, r.group) for r in report.results if not r.passed}

@@ -131,6 +131,15 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_farey_queries_walk_the_ladder_without_spending_budget(self, capsys):
+        # BFS at height cap 1000 visits far more than 100 slopes before it
+        # reaches 34/55; the ladder walk visits none.
+        budget = ("--height-cap", "1000", "--max-visited", "100")
+        code, out, _ = run_cli(capsys, "farey", "dist", "0/1", "34/55", *budget)
+        assert code == 0 and out.strip() == "5"
+        code, out, _ = run_cli(capsys, "farey", "geodesic", "0/1", "34/55", *budget)
+        assert code == 0 and out.split() == ["0/1", "1/1", "2/3", "5/8", "13/21", "34/55"]
+
     def test_suite_failure_is_exit_1(self, capsys):
         code, out, _ = run_cli(capsys, "suite", "omega", "--inject", "annular-no-offset")
         assert code == 1 and "[FAIL] omega/annular-table" in out
