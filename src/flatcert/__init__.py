@@ -46,7 +46,6 @@ from .handlebody import (
     leading_arc,
     parse_spotted_disk,
     push_disk,
-    spotted_disk_distance,
     twist_coordinate,
 )
 from .slopes import (
@@ -63,6 +62,7 @@ from .slopes import (
     format_slope,
     format_spotted_arc,
     half_twist,
+    iter_farey_neighbors,
     pairing,
     parse_slope,
     parse_spotted_arc,

@@ -13,11 +13,14 @@ The ray is chosen and checked by the continued-fraction distance oracle
 gives the uncapped distance d(ray[0], ray[j]), a lower bound on the capped
 one, and the ray meets it, so d(ray[0], ray[j]) = j; with adjacency of
 consecutive ray vertices the triangle inequality forces
-d(ray[i], ray[j]) = |i - j| for every pair.  BFS in the model graph only
-recomputes a seeded sample of grid entries as spot checks.
+d(ray[i], ray[j]) = |i - j| for every pair.  Breadth-first search in the
+model graph only recomputes a seeded sample of grid entries as spot
+checks, meeting in the middle (:func:`~flatcert.engine.bidirectional_distance`,
+always equal to plain BFS).
 
 Certificates are plain data and serialize to byte-identical JSON given the
-same inputs (schema id "flatcert/1").
+same inputs (schema id "flatcert/1"), written directly rather than through
+json's indented encoder.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 from . import engine
@@ -78,7 +82,7 @@ class GridEntry:
 
 @dataclass(frozen=True)
 class SpotCheck:
-    """Direct BFS recomputation of one grid entry."""
+    """Direct BFS recomputation of one grid entry (meet-in-the-middle)."""
 
     source: str
     target: str
@@ -107,41 +111,54 @@ class FlatCertificate:
     stats: dict
 
     def to_json(self) -> str:
-        payload = {
-            "schema": self.schema,
-            "model": self.model,
-            "preamble": self.preamble,
+        """The certificate as ``json.dumps(payload, indent=2, sort_keys=True)``
+        writes it, plus a newline, where ``payload`` maps each field to its
+        JSON value (tuples as lists; entries and spot checks as objects with
+        keys ``from``, ``to`` and the remaining field names).
+
+        json's indented encoder is pure Python, so the layout is written
+        directly: one f-string per grid entry, and each distinct witness
+        label escaped once by json's C escaper.
+        """
+        text, array = encode_basestring_ascii, engine._json_array
+        labels = {s: text(s) for s in {s for e in self.entries for s in e.witness}}
+        entries = []
+        for e in self.entries:
+            (i, j), (i2, j2) = e.source, e.target
+            witness = array([labels[s] for s in e.witness], 3)
+            entries.append(
+                f'{{\n      "distance": {e.distance},\n'
+                f'      "from": [\n        {i},\n        {j}\n      ],\n'
+                f'      "lower_bound": {e.lower_bound},\n'
+                f'      "to": [\n        {i2},\n        {j2}\n      ],\n'
+                f'      "witness": {witness}\n    }}'
+            )
+        checks = [
+            f'{{\n      "bfs": {c.bfs},\n      "expected": {c.expected},\n'
+            f'      "from": {text(c.source)},\n      "to": {text(c.target)}\n    }}'
+            for c in self.spot_checks
+        ]
+        fields = {
+            "schema": text(self.schema),
+            "model": text(self.model),
+            "preamble": text(self.preamble),
             "grid_size": self.grid_size,
-            "seed_pair": list(self.seed_pair),
+            "seed_pair": array([text(s) for s in self.seed_pair]),
             "height_cap": self.height_cap,
             "distance_cap": self.distance_cap,
             "rng_seed": self.rng_seed,
-            "ray": list(self.ray),
-            "arc_distances": [list(row) for row in self.arc_distances],
-            "entries": [
-                {
-                    "from": list(e.source),
-                    "to": list(e.target),
-                    "distance": e.distance,
-                    "lower_bound": e.lower_bound,
-                    "witness": list(e.witness),
-                }
-                for e in self.entries
-            ],
-            "linf_constants": list(self.linf_constants),
-            "l1_constants": list(self.l1_constants),
-            "spot_checks": [
-                {
-                    "from": c.source,
-                    "to": c.target,
-                    "expected": c.expected,
-                    "bfs": c.bfs,
-                }
-                for c in self.spot_checks
-            ],
-            "stats": self.stats,
+            "ray": array([text(s) for s in self.ray]),
+            "arc_distances": array(
+                [array([str(d) for d in row], 2) for row in self.arc_distances]
+            ),
+            "entries": array(entries),
+            "linf_constants": array([str(c) for c in self.linf_constants]),
+            "l1_constants": array([str(c) for c in self.l1_constants]),
+            "spot_checks": array(checks),
+            "stats": json.dumps(self.stats, indent=2, sort_keys=True).replace("\n", "\n  "),
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = ",\n".join(f'  "{key}": {value}' for key, value in sorted(fields.items()))
+        return "{\n" + body + "\n}\n"
 
 
 def extend_geodesic_ray(
@@ -302,7 +319,9 @@ def certify_flat(
                 )
             )
 
-    # Recompute a seeded sample of short entries by direct BFS.
+    # Recompute a seeded sample of short entries by direct BFS: a
+    # meet-in-the-middle search over the model graph, independent of the
+    # ray, the ladder and the product formula.
     rng = random.Random(rng_seed)
     short = [e for e in entries if e.distance <= 2]
     chosen = rng.sample(short, min(spot_check_count, len(short)))
@@ -310,7 +329,7 @@ def certify_flat(
     for e in sorted(chosen, key=lambda e: (e.source, e.target)):
         u = graph.vertex(ray[e.source[0]], e.source[1])
         v = graph.vertex(ray[e.target[0]], e.target[1])
-        d = engine.bfs_distance(graph, u, v, e.distance, max_visited=max_visited)
+        d = engine.bidirectional_distance(graph, u, v, e.distance, max_visited=max_visited)
         if d != e.distance:
             raise CertificationError(
                 f"spot check {graph.serialize_vertex(u)} -> "

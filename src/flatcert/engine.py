@@ -14,6 +14,10 @@ one search from its target.
 The engine keeps no state between queries apart from an idempotent neighbor
 cache, so concurrent queries on the same graph are safe; results are always
 bit-identical to sequential single-sided BFS.
+
+Exports write the bytes of ``json.dumps(indent=2, sort_keys=True)``
+directly, with the indented-array layout in one helper (:func:`_json_array`)
+that the certificate writer shares.
 """
 
 from __future__ import annotations
@@ -372,6 +376,17 @@ def sample_distances(
 # --- deterministic export ---------------------------------------------------
 
 
+def _json_array(items: Sequence[str], level: int = 1) -> str:
+    """Encoded items as ``json.dumps(indent=2)`` lays out a list nested
+    ``level`` deep.  The JSON writers (here and in :mod:`flatcert.certify`)
+    fix their layouts with it, so that only strings go through json's C
+    escaper."""
+    if not items:
+        return "[]"
+    indent = "\n" + "  " * (level + 1)
+    return f"[{indent}{(',' + indent).join(items)}\n{'  ' * level}]"
+
+
 @dataclass(frozen=True)
 class GraphDocument:
     """A finite, sorted snapshot of graph data for DOT/JSON export.
@@ -395,10 +410,6 @@ class GraphDocument:
         layout is fixed, so only the strings go through json's C escaper.
         """
         text = encode_basestring_ascii
-
-        def array(items: list[str]) -> str:
-            return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-
         distances = [
             f"[\n      {text(u)},\n      {text(v)},\n      "
             f"{text(d) if isinstance(d, str) else d}\n    ]"
@@ -406,9 +417,9 @@ class GraphDocument:
         ]
         edges = [f"[\n      {i},\n      {j}\n    ]" for i, j in self.edges]
         return (
-            f'{{\n  "distances": {array(distances)},\n  "edges": {array(edges)},\n'
+            f'{{\n  "distances": {_json_array(distances)},\n  "edges": {_json_array(edges)},\n'
             f'  "graph": {text(self.graph)},\n'
-            f'  "vertices": {array([text(v) for v in self.vertices])}\n}}\n'
+            f'  "vertices": {_json_array([text(v) for v in self.vertices])}\n}}\n'
         )
 
     @classmethod

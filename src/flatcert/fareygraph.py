@@ -36,6 +36,7 @@ from .slopes import (
     farey_distance,
     farey_neighbors,
     format_slope,
+    iter_farey_neighbors,
     pairing,
     parse_slope,
     stern_brocot_key,
@@ -94,10 +95,13 @@ class FareyGraph(ImplicitGraph[Slope]):
         """The Stern-Brocot-least neighbor of tip at Farey distance wanted
         from anchor, or None.
 
-        ``distances``, if given, receives the distance of every neighbor
-        evaluated.
+        Reads the neighbor stream (:func:`iter_farey_neighbors`) only up to
+        its first hit, so a step costs no O(height cap) list and leaves the
+        neighbor cache alone.  ``distances``, if given, receives the
+        distance of every neighbor evaluated.
         """
-        for candidate in self.neighbors(tip):
+        _require_vertex(self, tip)
+        for candidate in iter_farey_neighbors(tip, self.height_cap):
             d = self._ladder_distance(anchor, candidate)
             if distances is not None:
                 distances[candidate] = d

@@ -124,18 +124,6 @@ class SpottedDiskGraph(TwistedGraph[SpottedDisk]):
         return parse_spotted_disk(text)
 
 
-def spotted_disk_distance(
-    g: SpottedDiskGraph,
-    x: SpottedDisk,
-    y: SpottedDisk,
-    cap: int,
-    *,
-    max_visited: int = engine.DEFAULT_MAX_VISITED,
-) -> Distance:
-    """Exact BFS distance in the spotted-disk graph."""
-    return engine.bfs_distance(g, x, y, cap, max_visited=max_visited)
-
-
 def l1_distance(
     farey: FareyGraph,
     x: SpottedDisk,
@@ -146,10 +134,11 @@ def l1_distance(
 ) -> Distance:
     """Arc distance plus twist gap: the l1 product metric on coordinates.
 
-    Compares two-sidedly with the graph metric: d <= l1 <= 2 d.
+    The arc distance is ``farey.distance``, the ladder walk.  Compares
+    two-sidedly with the graph metric: d <= l1 <= 2 d.
     """
     gap = abs(x.twists - y.twists)
-    d = engine.bfs_distance(farey, x.arc, y.arc, cap, max_visited=max_visited)
+    d = farey.distance(x.arc, y.arc, cap, max_visited=max_visited)
     if isinstance(d, AtLeast):
         return AtLeast(d.bound + gap)
     return d + gap

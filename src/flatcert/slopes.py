@@ -5,6 +5,11 @@ stored as 1/0): two arcs can be made disjoint exactly when the cross
 determinant |p*s - q*r| of their slopes is at most 1.  Twisted copies of an
 arc in the spotted surface are tracked by an integer twist count whose unit
 (full or half turns around the spot) is carried in the type.
+
+The neighbors of a slope under a height cap come as a stream in
+Stern-Brocot order (:func:`iter_farey_neighbors`), worked out per family
+with no sort, so a search that stops at its first hit costs no more at a
+cap of 10**12 than at 10.
 """
 
 from __future__ import annotations
@@ -163,26 +168,57 @@ def farey_distance(a: Slope, b: Slope) -> int:
 
 
 def farey_neighbors(a: Slope, height_cap: int) -> list[Slope]:
-    """All slopes b != a with pairing(a, b) = 1 and height(b) <= height_cap.
+    """All slopes b != a with pairing(a, b) = 1 and height(b) <= height_cap,
+    in Stern-Brocot order: the list of :func:`iter_farey_neighbors`."""
+    return list(iter_farey_neighbors(a, height_cap))
+
+
+def iter_farey_neighbors(a: Slope, height_cap: int) -> Iterator[Slope]:
+    """Yield the neighbors of a under the height cap in Stern-Brocot order.
 
     A neighbor x/y of a = p/q solves p*y - q*x = +-1, so x and y are coprime
-    and the slope is built without reducing.  The cost is proportional to
-    the output size.  Returned in Stern-Brocot order.
+    and the slope is built without reducing.  Nothing is sorted and nothing
+    is built ahead of the consumer: each item costs O(1), so a caller that
+    stops at its first hit pays for the items it read, whatever the cap.
     """
     if height_cap < 1:
         raise ValueError("height_cap must be >= 1")
     cap = height_cap
     if a.is_infinity:
-        return sorted((Slope(n, 1) for n in range(-cap, cap + 1)), key=stern_brocot_key)
+        # The integers, at depth |n|; the negative one first at each depth.
+        yield Slope(0, 1)
+        for n in range(1, cap + 1):
+            yield Slope(-n, 1)
+            yield Slope(n, 1)
+        return
     p, q = a.p, a.q
     if q == 1:
-        # a = p/1: infinity and (p*y - 1)/y, (p*y + 1)/y for y >= 1
-        found = [INFINITY]
-        for y in range(1, cap + 1):
-            for x in (p * y - 1, p * y + 1):
-                if abs(x) <= cap:
-                    found.append(Slope(x, y))
-        return sorted(found, key=stern_brocot_key)
+        yield INFINITY
+        # a = p/1: the chains A_y = (p*y - 1)/y < p < B_y = (p*y + 1)/y.
+        if p == 0:
+            # -1/y and 1/y, both at depth y.
+            for y in range(1, cap + 1):
+                yield Slope(-1, y)
+                yield Slope(1, y)
+            return
+        # The inner chain (A for p > 0, B for p < 0) has numerators of size
+        # |p|*y - 1 and depths |p| - 1 (y = 1), then |p| - 1 + y; the outer
+        # chain has |p|*y + 1 and depths |p| + y.  So the inner y = k + 1
+        # ties the outer y = k, and A, numerically smaller, goes first.
+        m, sign = abs(p), (1 if p > 0 else -1)
+        last_in = min(cap, (cap + 1) // m)
+        last_out = min(cap, (cap - 1) // m)
+        if last_in >= 1:
+            yield Slope(p - sign, 1)
+        for k in range(1, max(last_in - 1, last_out) + 1):
+            inner = Slope(p * (k + 1) - sign, k + 1) if k < last_in else None
+            outer = Slope(p * k + sign, k) if k <= last_out else None
+            first, second = (inner, outer) if p > 0 else (outer, inner)
+            if first is not None:
+                yield first
+            if second is not None:
+                yield second
+        return
     # a is not an integer.  Its neighbors are its two parents in the
     # mediant tree, L = xl/yl below a and R = (p-xl)/(q-yl) above it, where
     # p*yl - q*xl = 1 and 0 < yl < q, and the chains L + m*a and R + m*a for
@@ -203,13 +239,14 @@ def farey_neighbors(a: Slope, height_cap: int) -> list[Slope]:
     parents = [(xl, yl, last_l), (xr, yr, last_r)]
     if abs(xr) + yr < abs(xl) + yl:
         parents.reverse()
-    found = [Slope(x, y) for x, y, last in parents if last >= 0]
+    for x, y, last in parents:
+        if last >= 0:
+            yield Slope(x, y)
     for m in range(1, max(last_l, last_r) + 1):
         if m <= last_l:
-            found.append(Slope(xl + m * p, yl + m * q))
+            yield Slope(xl + m * p, yl + m * q)
         if m <= last_r:
-            found.append(Slope(xr + m * p, yr + m * q))
-    return found
+            yield Slope(xr + m * p, yr + m * q)
 
 
 class TwistUnit(Enum):

@@ -1,6 +1,9 @@
+import dataclasses
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatcert import (
     INFINITY,
@@ -17,9 +20,12 @@ from flatcert import (
     parse_spotted_sphere,
     run_suite,
 )
+from flatcert import fareygraph
 from flatcert.certify import MODELS, CertificationError, check_ray_row
 from flatcert.engine import ball
 from util import S
+
+N9_RAY = "0/1 inf -2/1 -5/2 -13/5 -34/13 -89/34 -233/89 -610/233 -1597/610"
 
 
 class TestRayExtension:
@@ -245,13 +251,121 @@ class TestCertifyFlat:
 
     def test_n9_certifies_without_a_ball(self):
         cert = certify_flat(9, (S(0, 1), INFINITY), height_cap=1597)
-        assert cert.ray[-3:] == ("-233/89", "-610/233", "-1597/610")
+        assert " ".join(cert.ray) == N9_RAY
         assert len(cert.entries) == 100 * 99 // 2
         assert cert.stats["farey_balls"] == 0
 
     def test_tight_height_cap_reports_partial_ray(self):
         with pytest.raises(RayExtensionError):
             certify_flat(6, (S(0, 1), INFINITY), height_cap=8)
+
+    def test_a_stream_that_skips_a_qualifying_neighbor_changes_the_ray(self, monkeypatch):
+        # Negative control for the streamed ray: drop, at every tip, the
+        # first neighbor one step farther from the start.
+        start = S(0, 1)
+        stream = fareygraph.iter_farey_neighbors
+
+        def skipping(tip, cap):
+            wanted, skipped = farey_distance(start, tip) + 1, False
+            for b in stream(tip, cap):
+                if not skipped and farey_distance(start, b) == wanted:
+                    skipped = True
+                    continue
+                yield b
+
+        monkeypatch.setattr(fareygraph, "iter_farey_neighbors", skipping)
+        try:
+            cert = certify_flat(9, (start, INFINITY), height_cap=1597)
+        except RayExtensionError:
+            return
+        assert " ".join(cert.ray) != N9_RAY
+
+
+def _payload(cert):
+    """The certificate's fields as JSON values, built here and not by to_json."""
+    return {
+        "schema": cert.schema,
+        "model": cert.model,
+        "preamble": cert.preamble,
+        "grid_size": cert.grid_size,
+        "seed_pair": list(cert.seed_pair),
+        "height_cap": cert.height_cap,
+        "distance_cap": cert.distance_cap,
+        "rng_seed": cert.rng_seed,
+        "ray": list(cert.ray),
+        "arc_distances": [list(row) for row in cert.arc_distances],
+        "entries": [
+            {
+                "from": list(e.source),
+                "to": list(e.target),
+                "distance": e.distance,
+                "lower_bound": e.lower_bound,
+                "witness": list(e.witness),
+            }
+            for e in cert.entries
+        ],
+        "linf_constants": list(cert.linf_constants),
+        "l1_constants": list(cert.l1_constants),
+        "spot_checks": [
+            {"from": c.source, "to": c.target, "expected": c.expected, "bfs": c.bfs}
+            for c in cert.spot_checks
+        ],
+        "stats": cert.stats,
+    }
+
+
+def _dumps(cert):
+    return json.dumps(_payload(cert), indent=2, sort_keys=True) + "\n"
+
+
+# Strings json must escape: quotes, backslashes, control and non-ASCII
+# characters (including ones outside the BMP), mixed with plain text.
+awkward_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é€😀 a'), st.characters()),
+    max_size=8,
+)
+
+
+SMALL_CERT = certify_flat(1, (S(0, 1), INFINITY), height_cap=16)
+
+
+class TestCertificateJson:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize(
+        "seed_pair, rng_seed", [((S(0, 1), INFINITY), 0), ((S(1, 2), S(1, 3)), 7)]
+    )
+    def test_writer_matches_json_dumps(self, model, seed_pair, rng_seed):
+        for n in range(1, 5):
+            cert = certify_flat(n, seed_pair, model=model, height_cap=128, rng_seed=rng_seed)
+            assert cert.to_json() == _dumps(cert), (model, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(awkward_text, min_size=1, max_size=6), st.integers(-(10**20), 10**20))
+    def test_writer_escapes_every_string_field(self, texts, number):
+        pool = itertools.cycle(texts)
+
+        def text():
+            return next(pool)
+
+        cert = dataclasses.replace(
+            SMALL_CERT,
+            schema=text(),
+            model=text(),
+            preamble=text(),
+            seed_pair=(text(), text()),
+            ray=tuple(text() for _ in SMALL_CERT.ray),
+            entries=tuple(
+                dataclasses.replace(e, witness=tuple(text() for _ in e.witness))
+                for e in SMALL_CERT.entries
+            ),
+            spot_checks=tuple(
+                dataclasses.replace(c, source=text(), target=text())
+                for c in SMALL_CERT.spot_checks
+            ),
+            stats={text(): number, "grid_pairs": text()},
+        )
+        assert cert.to_json() == _dumps(cert)
+        assert json.loads(cert.to_json()) == _payload(cert)
 
 
 class TestSuites:

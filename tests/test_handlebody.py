@@ -11,6 +11,7 @@ from flatcert import (
     annular_intersection,
     ball,
     base_arc,
+    bfs_distance,
     disjoint,
     disk_coordinates,
     disk_from_coordinates,
@@ -22,7 +23,6 @@ from flatcert import (
     leading_arc,
     parse_spotted_disk,
     push_disk,
-    spotted_disk_distance,
     twist_coordinate,
 )
 from util import S, random_slope
@@ -176,22 +176,22 @@ class TestSpottedDiskGraph:
             x, y = rng.sample(members, 2)
             n = rng.randint(-5, 5)
             assert g.adjacent(x, y) == g.adjacent(push_disk(x, n), push_disk(y, n))
-            d = spotted_disk_distance(g, x, y, 8)
-            assert d == spotted_disk_distance(g, push_disk(x, n), push_disk(y, n), 8)
+            d = bfs_distance(g, x, y, 8)
+            assert d == bfs_distance(g, push_disk(x, n), push_disk(y, n), 8)
 
 
 class TestModelDistances:
     def test_same_arc_one_twist(self):
         g = SpottedDiskGraph(3)
-        assert spotted_disk_distance(g, SpottedDisk(S(0, 1), 0), SpottedDisk(S(0, 1), 1), 4) == 1
+        assert bfs_distance(g, SpottedDisk(S(0, 1), 0), SpottedDisk(S(0, 1), 1), 4) == 1
 
     def test_arc_move_dominates(self):
         g = SpottedDiskGraph(5)
-        assert spotted_disk_distance(g, SpottedDisk(S(0, 1), 0), SpottedDisk(S(2, 5), 0), 6) == 2
+        assert bfs_distance(g, SpottedDisk(S(0, 1), 0), SpottedDisk(S(2, 5), 0), 6) == 2
 
     def test_twist_dominates(self):
         g = SpottedDiskGraph(5)
-        assert spotted_disk_distance(g, SpottedDisk(S(0, 1), 0), SpottedDisk(S(1, 2), 5), 8) == 5
+        assert bfs_distance(g, SpottedDisk(S(0, 1), 0), SpottedDisk(S(1, 2), 5), 8) == 5
 
     def test_l1_examples(self):
         farey = FareyGraph(5)
@@ -246,7 +246,7 @@ class TestModelDistances:
         rng = random.Random(53)
         for _ in range(150):
             x, y = rng.sample(members, 2)
-            d = spotted_disk_distance(g, x, y, 12)
+            d = bfs_distance(g, x, y, 12)
             l1 = l1_distance(farey, x, y, 12)
             assert not isinstance(d, AtLeast) and not isinstance(l1, AtLeast)
             assert l1 / 2 <= d <= l1

@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flatcert import (
     INFINITY,
@@ -20,6 +21,7 @@ from flatcert import (
     format_slope,
     format_spotted_arc,
     half_twist,
+    iter_farey_neighbors,
     pairing,
     parse_slope,
     parse_spotted_arc,
@@ -185,6 +187,84 @@ class TestFareyNeighbors:
         assert len(set(got)) == len(got)
         assert set(got) == expected
         assert got == sorted(got, key=_raw_stern_brocot_key)
+
+
+# Slopes for the stream's large-cap test: infinity, integers up to 10**18,
+# and non-integers p/q with q small enough to scan every denominator the
+# first items can have.
+stream_slopes = st.one_of(
+    st.just((1, 0)),
+    st.tuples(st.integers(-(10**18), 10**18), st.just(1)),
+    st.tuples(st.integers(-60, 60), st.just(1)),
+    st.tuples(st.integers(-(10**18), 10**18), st.integers(2, 40)).filter(
+        lambda t: math.gcd(abs(t[0]), t[1]) == 1
+    ),
+)
+
+
+def _first_neighbors_by_scan(pq, cap, k):
+    """The k first neighbors of p/q under the cap, in raw-key order, from a
+    scan of denominators.
+
+    A neighbor x/y of p/q with y > q >= 1 is the mediant of p/q and a
+    neighbor c of denominator y - q (the two Farey neighbors of x/y with
+    smaller denominators are its parents in the mediant tree), and it sits
+    deeper than both.  So its depth is at least depth(p/q) + ceil(y/q) - 1,
+    and a scan of y <= Y misses only slopes deeper than that at y = Y + 1.
+    The parents of a slope lie on its side of 0, so c's numerator is no
+    larger in size than x: a neighbor beyond the scan under the cap means
+    one inside it at every step back, and fewer than k found means none.
+    """
+    p, q = pq
+    if q == 0:
+        # Integers n at depth |n|: |n| <= k holds at least the k first.
+        reach = min(cap, k)
+        found = [(x, 1) for x in range(-reach, reach + 1)]
+        return sorted(found, key=_raw_stern_brocot_key)[:k]
+    found = [(1, 0)] if q == 1 else []
+    last_y = min(cap, q * (k + 2))
+    for y in range(1, last_y + 1):
+        for eps in (1, -1):
+            num = p * y - eps
+            if num % q == 0 and abs(num // q) <= cap:
+                found.append((num // q, y))
+    found = sorted(found, key=_raw_stern_brocot_key)[:k]
+    if last_y < cap and len(found) == k:
+        depth_a = _raw_stern_brocot_key(pq)[0]
+        unseen_depth = depth_a + -(-(last_y + 1) // q) - 1
+        assert _raw_stern_brocot_key(found[-1])[0] < unseen_depth
+    return found
+
+
+class TestFareyNeighborStream:
+    def test_every_small_slope_and_cap_against_sorted_brute_force(self):
+        # neighbors_bf at cap 60, filtered by height, is neighbors_bf at
+        # each smaller cap.
+        for p, q in all_slopes(40):
+            a = S(p, q)
+            brute = sorted(neighbors_bf((p, q), 60), key=_raw_stern_brocot_key)
+            for cap in range(1, 61):
+                want = [b for b in brute if max(abs(b[0]), b[1]) <= cap]
+                got = [(s.p, s.q) for s in iter_farey_neighbors(a, cap)]
+                assert got == want, (a, cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream_slopes,
+        st.one_of(st.integers(1, 80), st.integers(1, 10**18)),
+        st.integers(1, 40),
+    )
+    def test_first_items_at_large_caps_against_denominator_scan(self, pq, cap, k):
+        a = canonicalize(*pq)
+        got = [(s.p, s.q) for s in itertools.islice(iter_farey_neighbors(a, cap), k)]
+        assert got == _first_neighbors_by_scan((a.p, a.q), cap, k)
+
+    def test_first_item_comes_without_listing_the_rest(self):
+        assert next(iter_farey_neighbors(S(0, 1), 10**18)) == INFINITY
+        first = itertools.islice(iter_farey_neighbors(INFINITY, 10**18), 3)
+        assert list(first) == [S(0, 1), S(-1, 1), S(1, 1)]
+        first = itertools.islice(iter_farey_neighbors(S(3, 1), 10**18), 4)
+        assert list(first) == [INFINITY, S(2, 1), S(5, 2), S(4, 1)]
 
 
 class TestTwistActions:
