@@ -6,9 +6,10 @@ balls and geodesics are computed lazily by breadth-first search under
 explicit caps; distances beyond a cap are reported as one-sided lower
 bounds, never as failures.  A graph's ``distance``, ``ball`` and
 ``document`` methods run these searches; a graph that knows its metric
-(the Farey graph walks its ladder, the twisted models answer from their
-Farey factor) overrides them, and the module functions stay the
-breadth-first checkers.  A geodesic, alone or in a distance sample, costs
+overrides them (the Farey graph's distance is ``farey_distance`` clipped at
+the cap and only its geodesic walks the ladder; the twisted models answer
+from their Farey factor), and the module functions stay the breadth-first
+checkers.  A geodesic, alone or in a distance sample, costs
 one search from its target.
 
 The engine keeps no state between queries apart from an idempotent neighbor

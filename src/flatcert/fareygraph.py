@@ -3,9 +3,10 @@
 The Farey graph is the arc graph of a one-holed torus: vertices are
 canonical slopes, edges join slopes with cross determinant 1.  Every vertex
 has infinite degree, so the graph carries an explicit height cap: it is the
-subgraph induced on slopes of height at most the cap.  Its distances and
-geodesics come from a ladder walk: :func:`farey_distance` bounds the capped
-distance from below, and a path that meets the bound pins it.  The twisted
+subgraph induced on slopes of height at most the cap.  The cap never
+changes a distance between vertices (the ladder-height lemma,
+``docs/ladder.md``), so a distance is :func:`farey_distance` clipped at the
+distance cap, and only a geodesic walks the ladder.  The twisted
 disk and sphere models are all :class:`TwistedGraph`, which adds a twist
 step; as a strong product its distances, balls and exports follow from the
 Farey factor.  Breadth-first search (:mod:`flatcert.engine`) stays the
@@ -16,14 +17,14 @@ from __future__ import annotations
 
 from abc import abstractmethod
 from bisect import insort
-from typing import Optional, Union
+from typing import Optional
 
-from . import engine
 from .engine import (
     DEFAULT_MAX_VISITED,
     AtLeast,
     BudgetExceededError,
     Distance,
+    EngineError,
     GraphDocument,
     ImplicitGraph,
     V,
@@ -46,8 +47,9 @@ from .slopes import (
 class FareyGraph(ImplicitGraph[Slope]):
     """Slopes of height <= height_cap, joined when their pairing is 1.
 
-    ``distance`` and ``geodesic`` answer by a ladder walk, with the same
-    results and errors as breadth-first search (:meth:`_ladder_walk`).
+    ``distance`` is :func:`farey_distance` clipped at the distance cap and
+    ``geodesic`` walks the ladder; both give the results and errors of
+    breadth-first search without searching.
     """
 
     def __init__(self, height_cap: int):
@@ -79,10 +81,10 @@ class FareyGraph(ImplicitGraph[Slope]):
     def sort_key(self, v: Slope):
         return stern_brocot_key(v)
 
-    # -- metric queries by the ladder walk --
+    # -- metric queries by the Farey distance and the ladder walk --
 
     def _ladder_distance(self, a: Slope, b: Slope) -> int:
-        """The lower bound the walk trusts: :func:`farey_distance`."""
+        """The capped distance from a to b: :func:`farey_distance`."""
         return farey_distance(a, b)
 
     def ladder_step(
@@ -109,55 +111,50 @@ class FareyGraph(ImplicitGraph[Slope]):
                 return candidate
         return None
 
-    def _ladder_walk(self, u: Slope, v: Slope, cap: int) -> Union[list[Slope], AtLeast, None]:
-        """The least geodesic from u to v, AtLeast(cap + 1), or None if stuck.
+    def distance(
+        self, u: Slope, v: Slope, cap: int, *, max_visited: int = DEFAULT_MAX_VISITED
+    ) -> Distance:
+        """Exact distance if <= cap, else AtLeast(cap + 1): :func:`farey_distance`
+        clipped at the cap, with no search.
 
-        d = farey_distance(u, v) is a lower bound on the capped distance;
-        past the cap the answer is AtLeast(cap + 1).  Otherwise each step
-        takes the first neighbor one closer to v.  A walk that reaches v is
-        a capped path of length d, so it pins the capped distance at d, and
-        every vertex on it at its Farey distance from v.  A neighbor earlier
-        in Stern-Brocot order is at Farey distance, hence capped distance,
-        at least the tip's, so breadth-first reconstruction picks the same
-        step: the walk is :func:`engine.geodesic`'s path.  None means no
-        neighbor qualified: the tip's capped distance to v exceeds its
-        Farey distance, a counterexample to the ladder-height lemma (capping
-        at the larger endpoint height keeps Farey distances).  Callers then
-        fall back to breadth-first search.
+        The height cap never changes a Farey distance (the ladder-height
+        lemma, ``docs/ladder.md``).  ``max_visited`` is never consulted; it
+        is accepted because every graph's ``distance`` takes it.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
         _require_vertex(self, u)
         _require_vertex(self, v)
         d = self._ladder_distance(u, v)
-        if d > cap:
-            return AtLeast(cap + 1)
-        path = [u]
-        for remaining in range(d - 1, -1, -1):
-            step = self.ladder_step(path[-1], v, remaining)
-            if step is None:
-                return None
-            path.append(step)
-        return path
-
-    def distance(
-        self, u: Slope, v: Slope, cap: int, *, max_visited: int = DEFAULT_MAX_VISITED
-    ) -> Distance:
-        walk = self._ladder_walk(u, v, cap)
-        if walk is None:
-            return engine.bfs_distance(self, u, v, cap, max_visited=max_visited)
-        return walk if isinstance(walk, AtLeast) else len(walk) - 1
+        return d if d <= cap else AtLeast(cap + 1)
 
     def geodesic(
         self, u: Slope, v: Slope, cap: int, *, max_visited: int = DEFAULT_MAX_VISITED
     ) -> list[Slope]:
-        """The lexicographically least geodesic; as :func:`engine.geodesic`."""
-        walk = self._ladder_walk(u, v, cap)
-        if walk is None:
-            return engine.geodesic(self, u, v, cap, max_visited=max_visited)
-        if isinstance(walk, AtLeast):
+        """The lexicographically least geodesic, as :func:`engine.geodesic`
+        finds it, by a ladder walk; ``max_visited`` is never consulted.
+
+        Each step takes the first neighbor one closer to v, so a walk of
+        d = :meth:`distance` steps ends on v.  A neighbor earlier in
+        Stern-Brocot order is no closer to v than the tip, so breadth-first
+        reconstruction picks the same step.  By the ladder-height lemma the
+        next vertex of an uncapped geodesic from the tip is under the cap,
+        so some neighbor always qualifies; a walk with no step would refute
+        the lemma, and raises EngineError.
+        """
+        d = self.distance(u, v, cap)
+        if isinstance(d, AtLeast):
             raise _distance_cap_error(self, u, v, cap)
-        return walk
+        path = [u]
+        for remaining in range(d - 1, -1, -1):
+            step = self.ladder_step(path[-1], v, remaining)
+            if step is None:
+                raise EngineError(
+                    f"ladder walk from {u} to {v} stuck at {path[-1]}: no neighbor at "
+                    f"Farey distance {remaining} from {v}, against the ladder-height lemma"
+                )
+            path.append(step)
+        return path
 
 
 class TwistedGraph(ImplicitGraph[V]):
@@ -171,10 +168,11 @@ class TwistedGraph(ImplicitGraph[V]):
     ``parse_vertex``.  ``vertex(arc, twist)``, the inverse of ``_split``,
     calls ``vertex_type(arc, twist)``.
 
-    ``distance``, ``ball`` and ``document`` answer from the factor graph
-    ``farey`` by the strong-product metric (:meth:`_product_distance`),
-    with the same results and errors as breadth-first search over the
-    product; only the statistics of a budget error differ.
+    ``distance`` answers from :func:`farey_distance`, and ``ball`` and
+    ``document`` from the factor graph ``farey``, by the strong-product
+    metric (:meth:`_product_distance`), with the same results and errors as
+    breadth-first search over the product; only the statistics of a budget
+    error differ.
     """
 
     name: str
@@ -226,29 +224,27 @@ class TwistedGraph(ImplicitGraph[V]):
 
     # -- metric queries from the Farey factor --
 
-    def _product_distance(self, arc_d: Distance, dk: int) -> Distance:
+    def _product_distance(self, arc_d: int, dk: int) -> int:
         """max(arc distance, twist steps): the strong-product metric.
 
-        A twist difference dk takes ceil(|dk| / twist_gap) steps.  ``arc_d``
-        may be a lower bound, and the result is then one too.
+        A twist difference dk takes ceil(|dk| / twist_gap) steps.
         """
-        steps = -(-abs(dk) // self.twist_gap)
-        if isinstance(arc_d, AtLeast):
-            return AtLeast(max(arc_d.bound, steps))
-        return max(arc_d, steps)
+        return max(arc_d, -(-abs(dk) // self.twist_gap))
 
     def distance(
         self, u: V, v: V, cap: int, *, max_visited: int = DEFAULT_MAX_VISITED
     ) -> Distance:
+        """Exact distance if <= cap, else AtLeast(cap + 1): the product of
+        the arcs' :func:`farey_distance` and the twist steps, clipped at the
+        cap.  ``max_visited`` is never consulted; see :meth:`FareyGraph.distance`.
+        """
         if cap < 1:
             raise ValueError("cap must be >= 1")
         _require_vertex(self, u)
         _require_vertex(self, v)
         (a, k), (b, l) = self._split(u), self._split(v)
-        if self._product_distance(0, k - l) > cap:
-            return AtLeast(cap + 1)
-        arc_d = self.farey.distance(a, b, cap, max_visited=max_visited)
-        return self._product_distance(arc_d, k - l)
+        d = self._product_distance(farey_distance(a, b), k - l)
+        return d if d <= cap else AtLeast(cap + 1)
 
     def _factor_ball(
         self, center: V, radius: int, max_visited: int

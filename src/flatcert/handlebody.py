@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import engine
 from .engine import Distance, AtLeast
 from .fareygraph import FareyGraph, TwistedGraph
 from .slopes import (
@@ -124,21 +123,14 @@ class SpottedDiskGraph(TwistedGraph[SpottedDisk]):
         return parse_spotted_disk(text)
 
 
-def l1_distance(
-    farey: FareyGraph,
-    x: SpottedDisk,
-    y: SpottedDisk,
-    cap: int,
-    *,
-    max_visited: int = engine.DEFAULT_MAX_VISITED,
-) -> Distance:
+def l1_distance(farey: FareyGraph, x: SpottedDisk, y: SpottedDisk, cap: int) -> Distance:
     """Arc distance plus twist gap: the l1 product metric on coordinates.
 
-    The arc distance is ``farey.distance``, the ladder walk.  Compares
-    two-sidedly with the graph metric: d <= l1 <= 2 d.
+    The arc distance is ``farey.distance``, the Farey distance clipped
+    at the cap.  Compares two-sidedly with the graph metric: d <= l1 <= 2 d.
     """
     gap = abs(x.twists - y.twists)
-    d = farey.distance(x.arc, y.arc, cap, max_visited=max_visited)
+    d = farey.distance(x.arc, y.arc, cap)
     if isinstance(d, AtLeast):
         return AtLeast(d.bound + gap)
     return d + gap

@@ -140,8 +140,10 @@ def farey_distance(a: Slope, b: Slope) -> int:
     of x with L and R are tracked: a run divides one by the other and keeps
     the remainder, as Euclid's algorithm does, and the run that leaves
     remainder 0 ends on x.  The cost is one step per continued-fraction
-    term of x, whatever the heights.  The capped Farey graph is a subgraph,
-    so the result is a lower bound on every capped distance.
+    term of x, whatever the heights.  It is also the distance in every
+    capped Farey graph that holds a and b: the ladder-height lemma
+    (``docs/ladder.md``) keeps every ladder vertex under the larger
+    endpoint height.
     """
     if a == b:
         return 0

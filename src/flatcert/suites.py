@@ -81,8 +81,8 @@ INJECTIONS = {
     # Answer twisted distances, balls and exports with arc + twist instead
     # of the max: must break product-path in the omega and sphere suites.
     "product-l1",
-    # Let the Farey graph's ladder walk trust the ladder-drop-rung bound:
-    # must break the farey-walk comparison with BFS.
+    # Let the Farey graph's distance and ladder walk trust the
+    # ladder-drop-rung bound: must break the farey-walk comparison with BFS.
     "walk-drop-rung",
 }
 
@@ -244,8 +244,7 @@ class _ProductL1:
     """Mixin: the Farey-factor answers combine arc and twist by their sum."""
 
     def _product_distance(self, arc_d, dk):
-        steps = super()._product_distance(0, dk)
-        return AtLeast(arc_d.bound + steps) if isinstance(arc_d, AtLeast) else arc_d + steps
+        return arc_d + super()._product_distance(0, dk)
 
 
 class _DiskProductL1(_ProductL1, SpottedDiskGraph):
@@ -289,22 +288,23 @@ def _check_farey_distance(rng: random.Random, oracle: Callable[[Slope, Slope], i
 
 
 class _WalkDropRung(FareyGraph):
-    """:class:`FareyGraph` whose ladder walk trusts :func:`_ladder_drop_rung`."""
+    """:class:`FareyGraph` whose distance and ladder walk trust :func:`_ladder_drop_rung`."""
 
     def _ladder_distance(self, a, b):
         return _ladder_drop_rung(a, b)
 
 
 def _geodesic_text(query: Callable, a: Slope, b: Slope, cap: int) -> str:
-    """The path query(a, b, cap) returns, or the text of its cap error."""
+    """The path query(a, b, cap) returns, or the text of its error: a cap
+    error, or a ladder walk that found no step."""
     try:
         return " ".join(format_slope(s) for s in query(a, b, cap))
-    except engine.DistanceCapError as exc:
+    except engine.EngineError as exc:
         return str(exc)
 
 
 def _check_farey_walk(rng: random.Random, graph_type: type) -> CheckResult:
-    """The graph's ladder-walk distance and geodesic equal the engine's BFS.
+    """The graph's distance and ladder-walk geodesic equal the engine's BFS.
 
     Every ordered pair of height <= 6 is compared at caps 1-4, so ">=c"
     answers and cap errors occur, and 40 random pairs at height 60 at cap 16.

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 
@@ -368,15 +369,21 @@ class TestCertificateJson:
         assert json.loads(cert.to_json()) == _payload(cert)
 
 
+@pytest.fixture(scope="module")
+def suite_report():
+    """run_suite with one report per (suite, seed, injection) for the module."""
+    return functools.lru_cache(maxsize=None)(run_suite)
+
+
 class TestSuites:
-    def test_arc_suite_has_enough_groups_and_passes(self):
-        report = run_suite("arc")
+    def test_arc_suite_has_enough_groups_and_passes(self, suite_report):
+        report = suite_report("arc")
         assert len(report.results) >= 4
         assert report.passed
 
-    def test_all_aggregates_module_suites(self):
-        full = run_suite("all")
-        parts = [run_suite(name) for name in ("arc", "omega", "sphere")]
+    def test_all_aggregates_module_suites(self, suite_report):
+        full = suite_report("all")
+        parts = [suite_report(name) for name in ("arc", "omega", "sphere")]
         assert len(full.results) == sum(len(p.results) for p in parts)
         assert full.passed
 
@@ -388,22 +395,22 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("omega", inject="flip-all-signs")
 
-    def test_twist_gap_injection_breaks_product_metric(self):
-        report = run_suite("omega", inject="omega-twist-gap-2")
+    def test_twist_gap_injection_breaks_product_metric(self, suite_report):
+        report = suite_report("omega", inject="omega-twist-gap-2")
         assert not report.passed
         failed = {r.group for r in report.results if not r.passed}
         assert "product-metric" in failed
 
-    def test_annular_injection_breaks_intersection_table(self):
-        report = run_suite("omega", inject="annular-no-offset")
+    def test_annular_injection_breaks_intersection_table(self, suite_report):
+        report = suite_report("omega", inject="annular-no-offset")
         assert not report.passed
         failed = {r.group for r in report.results if not r.passed}
         assert failed == {"annular-table"}
 
-    def test_ladder_injection_breaks_farey_distance_only(self):
-        clean = run_suite("arc")
+    def test_ladder_injection_breaks_farey_distance_only(self, suite_report):
+        clean = suite_report("arc")
         assert "farey-distance" in {r.group for r in clean.results if r.passed}
-        report = run_suite("all", inject="ladder-drop-rung")
+        report = suite_report("all", inject="ladder-drop-rung")
         failed = {r.group for r in report.results if not r.passed}
         assert failed == {"farey-distance"}
 
@@ -414,8 +421,8 @@ class TestSuites:
         failed = {(r.suite, r.group) for r in report.results if not r.passed}
         assert failed == {("arc", "farey-walk")}
 
-    def test_sphere_twist_gap_injection_breaks_three_sphere_groups(self):
-        report = run_suite("all", inject="sphere-twist-gap-2")
+    def test_sphere_twist_gap_injection_breaks_three_sphere_groups(self, suite_report):
+        report = suite_report("all", inject="sphere-twist-gap-2")
         failed = {(r.suite, r.group) for r in report.results if not r.passed}
         assert failed == {
             ("sphere", "circles-table"),
@@ -423,16 +430,16 @@ class TestSuites:
             ("sphere", "product-metric"),
         }
 
-    def test_product_l1_injection_breaks_product_path_only(self):
-        report = run_suite("all", inject="product-l1")
+    def test_product_l1_injection_breaks_product_path_only(self, suite_report):
+        report = suite_report("all", inject="product-l1")
         failed = {(r.suite, r.group) for r in report.results if not r.passed}
         assert failed == {("omega", "product-path"), ("sphere", "product-path")}
 
     @pytest.mark.parametrize(
         "suite, inject", [("omega", "omega-twist-gap-2"), ("sphere", "sphere-twist-gap-2")]
     )
-    def test_product_path_honours_a_wider_twist_rule(self, suite, inject):
-        report = run_suite(suite, inject=inject)
+    def test_product_path_honours_a_wider_twist_rule(self, suite_report, suite, inject):
+        report = suite_report(suite, inject=inject)
         (path,) = [r for r in report.results if r.group == "product-path"]
         assert path.passed
 

@@ -119,8 +119,8 @@ def test_one_lipschitz_along_an_edge(a, b, m):
 @settings(max_examples=200, deadline=None)
 @given(small_slopes, small_slopes)
 def test_capped_bfs_at_the_larger_height_is_exact(a, b):
-    # Observed, not proven: capping the Farey graph at the larger endpoint
-    # height never lengthens the distance.
+    # Capping the Farey graph at the larger endpoint height never lengthens
+    # the distance: the ladder-height lemma, proved in docs/ladder.md.
     assume(a != b)
     farey = FareyGraph(max(a.height(), b.height()))
     assert bfs_distance(farey, a, b, 40) == farey_distance(a, b)

@@ -1,9 +1,9 @@
-"""The Farey graph's ladder walk against breadth-first search.
+"""The Farey graph's distance and ladder walk against breadth-first search.
 
-``FareyGraph.distance`` and ``FareyGraph.geodesic`` answer from
-``farey_distance`` and a walk of ladder steps.  The engine's BFS functions
-are the slow path: the walk must give their value, their path and the text
-of their cap error.
+``FareyGraph.distance`` is ``farey_distance`` clipped at the cap, and
+``FareyGraph.geodesic`` walks ladder steps.  The engine's BFS functions are
+the slow path: the graph must give their value, their path and the text of
+their cap error.
 """
 
 import itertools
@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from flatcert import (
     AtLeast,
-    BudgetExceededError,
     DistanceCapError,
     FareyGraph,
     InvalidVertexError,
+    SpottedDisk,
+    SpottedDiskGraph,
     bfs_distance,
     bidirectional_distance,
     canonicalize,
@@ -25,6 +26,7 @@ from flatcert import (
     geodesic,
     stern_brocot_key,
 )
+from flatcert.engine import EngineError, ball
 from util import S
 
 
@@ -51,22 +53,39 @@ def bfs_answers(g, u, v, cap):
     return bfs_distance(g, u, v, cap), path_or_error(lambda *a: geodesic(g, *a), u, v, cap)
 
 
+def least_geodesic(g, levels, u):
+    """The least geodesic from u to the center of a BFS level map: each step
+    takes the first neighbor in oracle order one level lower, the rule of
+    engine._geodesic_search."""
+    path = [u]
+    while levels[path[-1]]:
+        path.append(next(w for w in g.neighbors(path[-1]) if levels.get(w) == levels[path[-1]] - 1))
+    return path
+
+
 def test_every_pair_of_height_at_most_10_matches_bfs_at_caps_1_to_6():
-    # BFS runs once per pair at cap 6: below the distance a cap answers
-    # ">=cap+1" with the matching error, and at or above it the value and
-    # the least geodesic do not depend on the cap.
+    # One BFS per target v, out to radius 6: below the distance a cap
+    # answers ">=cap+1" with the matching error, and at or above it the
+    # value and the least geodesic do not depend on the cap.
     walk, bfs = FareyGraph(10), FareyGraph(10)
+    slopes = slopes_up_to(10)
     answered = set()
-    for u, v in itertools.product(slopes_up_to(10), repeat=2):
-        d, path = bfs_answers(bfs, u, v, 6)
-        for cap in range(1, 7):
-            if isinstance(d, int) and d <= cap:
-                want = (d, path)
-            else:
-                want = (AtLeast(cap + 1), f"distance({u}, {v}) >={cap + 1}")
-            assert walk_answers(walk, u, v, cap) == want, (u, v, cap)
-            answered.add(type(want[0]))
+    for v in slopes:
+        levels = ball(bfs, v, 6)
+        for u in slopes:
+            d = levels.get(u)
+            path = None if d is None else least_geodesic(bfs, levels, u)
+            for cap in range(1, 7):
+                if d is not None and d <= cap:
+                    want = (d, path)
+                else:
+                    want = (AtLeast(cap + 1), f"distance({u}, {v}) >={cap + 1}")
+                assert walk_answers(walk, u, v, cap) == want, (u, v, cap)
+                answered.add(type(want[0]))
     assert answered == {int, AtLeast}
+    # The rebuild rule is engine.geodesic's: the walk matches both.
+    for u, v in itertools.product(slopes[::7], slopes[::5]):
+        assert path_or_error(lambda *a: geodesic(bfs, *a), u, v, 6) == walk.geodesic(u, v, 6)
 
 
 def test_cap_errors_are_the_engines_at_every_cap():
@@ -119,15 +138,28 @@ class _NoStep(FareyGraph):
         return min(farey_distance(a, b), 1)
 
 
-def test_a_walk_with_no_step_falls_back_to_bfs_under_the_budget():
+def test_a_walk_with_no_step_raises_instead_of_searching():
     walk, bfs = _NoStep(5), FareyGraph(5)
     for u, v in itertools.product(slopes_up_to(5), repeat=2):
         for cap in (1, 2, 3, 6):
-            assert walk_answers(walk, u, v, cap) == bfs_answers(bfs, u, v, cap), (u, v, cap)
-    # The walk itself searches nothing; only the BFS fallback spends budget.
+            if farey_distance(u, v) <= 1:
+                assert walk_answers(walk, u, v, cap) == bfs_answers(bfs, u, v, cap), (u, v, cap)
+                continue
+            stuck = f"^ladder walk from {u} to {v} stuck at {u}: .* ladder-height lemma$"
+            with pytest.raises(EngineError, match=stuck):
+                walk.geodesic(u, v, cap)
+    # Nothing searches, so no budget is spent, however small.
     assert FareyGraph(110).distance(S(0, 1), S(34, 55), 12, max_visited=10) == 5
-    stuck = _NoStep(110)
-    with pytest.raises(BudgetExceededError):
-        stuck.distance(S(0, 1), S(34, 55), 12, max_visited=10)
-    with pytest.raises(BudgetExceededError):
-        stuck.geodesic(S(0, 1), S(34, 55), 12, max_visited=10)
+    assert FareyGraph(110).geodesic(S(0, 1), S(34, 55), 12, max_visited=10) == [
+        S(0, 1), S(1, 1), S(2, 3), S(5, 8), S(13, 21), S(34, 55)
+    ]
+
+
+def test_a_far_integer_costs_no_walk_through_the_integers():
+    # Through inf the ladder walk would read the integers 0, -1, 1, ... up
+    # to 10**6; the distance reads farey_distance only.
+    a, b = S(1, 2), S(10**6, 1)
+    assert FareyGraph(10**6).distance(a, b, 16) == farey_distance(a, b) == 3
+    omega = SpottedDiskGraph(10**6)
+    for twists, want in ((0, 3), (2, 3), (3, 3), (5, 5), (-17, AtLeast(17))):
+        assert omega.distance(SpottedDisk(a, 0), SpottedDisk(b, twists), 16) == want
