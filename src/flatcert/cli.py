@@ -205,9 +205,10 @@ def _run(args, config: dict) -> int:
             y = g.parse_vertex(args.y)
             print(g.distance(x, y, cap, max_visited=max_visited))
         else:
+            # The twisted graph's ball is already in (distance, sort_key) order.
             members = g.ball(x, args.radius, max_visited=max_visited)
-            for v in sorted(members, key=lambda v: (members[v], g.sort_key(v))):
-                print(f"{g.serialize_vertex(v)} {members[v]}")
+            label = g.serialize_vertex
+            sys.stdout.write("".join(f"{label(v)} {d}\n" for v, d in members.items()))
         return 0
 
     if args.command == "push":

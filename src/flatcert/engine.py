@@ -289,15 +289,25 @@ def _geodesic_search(
     from_target, hit, edges = _expand(g, v, cap, max_visited, stop_at=u)
     if hit is None:
         return None, len(from_target), edges
+    return _least_geodesic(g, from_target, u), len(from_target), edges
+
+
+def _least_geodesic(g: ImplicitGraph[V], levels: dict[V, int], u: V) -> list[V]:
+    """The least geodesic from u to the center of a BFS level map: each step
+    goes to the first neighbor in oracle order one level lower.
+
+    Every level below u's must be complete, as in a ball that holds u or a
+    search from the center that stopped at u.
+    """
     path = [u]
-    for remaining in range(hit, 0, -1):
+    for remaining in range(levels[u], 0, -1):
         for w in g.neighbors(path[-1]):
-            if from_target.get(w) == remaining - 1:
+            if levels.get(w) == remaining - 1:
                 path.append(w)
                 break
         else:  # pragma: no cover - violates BFS correctness
             raise EngineError("geodesic reconstruction lost the target level")
-    return path, len(from_target), edges
+    return path
 
 
 def geodesic(

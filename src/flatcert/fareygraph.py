@@ -164,9 +164,9 @@ class TwistedGraph(ImplicitGraph[V]):
     |k - l| <= twist_gap; vertices sort by (arc's Stern-Brocot key, twist).
     ``twist_gap`` is 1 in every model; only the suites' negative controls
     widen it.  Subclasses supply the codec: ``name``, ``vertex_type``,
-    ``_split(v) -> (arc, twist)``, ``serialize_vertex`` and
-    ``parse_vertex``.  ``vertex(arc, twist)``, the inverse of ``_split``,
-    calls ``vertex_type(arc, twist)``.
+    ``suffix`` (the text after ``p/q@k``), ``_split(v) -> (arc, twist)``
+    and ``parse_vertex``.  ``vertex(arc, twist)``, the inverse of
+    ``_split``, calls ``vertex_type(arc, twist)``.
 
     ``distance`` answers from :func:`farey_distance`, and ``ball`` and
     ``document`` from the factor graph ``farey``, by the strong-product
@@ -177,6 +177,7 @@ class TwistedGraph(ImplicitGraph[V]):
 
     name: str
     vertex_type: type
+    suffix: str
     twist_gap = 1
 
     def __init__(self, height_cap: int):
@@ -191,6 +192,10 @@ class TwistedGraph(ImplicitGraph[V]):
 
     def vertex(self, arc: Slope, twist: int) -> V:
         return self.vertex_type(arc, twist)
+
+    def serialize_vertex(self, v: V) -> str:
+        arc, k = self._split(v)
+        return f"{format_slope(arc)}@{k}{self.suffix}"
 
     def contains(self, v: V) -> bool:
         return (
@@ -248,13 +253,17 @@ class TwistedGraph(ImplicitGraph[V]):
 
     def _factor_ball(
         self, center: V, radius: int, max_visited: int
-    ) -> tuple[dict[Slope, int], int, range]:
-        """The Farey ball of center's arc, center's twist, and the twist offsets.
+    ) -> tuple[list[Slope], list[list[int]], int, range]:
+        """The arcs of the Farey ball around center's arc in Stern-Brocot
+        order, each arc's row of product distances by twist offset, center's
+        twist and the twist offsets.
 
-        Raises BudgetExceededError exactly when breadth-first search over
-        the product would: the product ball has more than max_visited
-        vertices (a lone center never counts).  The error reports the
-        product ball's size as visited, and no product edges scanned.
+        A row depends only on the arc's Farey distance, so arcs at one
+        distance share one row.  Raises BudgetExceededError exactly when
+        breadth-first search over the product would: the product ball has
+        more than max_visited vertices (a lone center never counts).  The
+        error reports the product ball's size as visited, and no product
+        edges scanned.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
@@ -262,17 +271,30 @@ class TwistedGraph(ImplicitGraph[V]):
         arc, k = self._split(center)
         arcs = self.farey.ball(arc, radius, max_visited=max_visited)
         reach = radius * self.twist_gap
-        size = len(arcs) * (2 * reach + 1)
+        offsets = range(-reach, reach + 1)
+        size = len(arcs) * len(offsets)
         if size > max(max_visited, 1):
             raise BudgetExceededError(size, 0, radius)
-        return arcs, k, range(-reach, reach + 1)
+        product = self._product_distance
+        rows = [[product(d, dk) for dk in offsets] for d in range(radius + 1)]
+        order = sorted(arcs, key=stern_brocot_key)
+        return order, [rows[arcs[b]] for b in order], k, offsets
 
     def ball(
         self, center: V, radius: int, *, max_visited: int = DEFAULT_MAX_VISITED
     ) -> dict[V, int]:
-        arcs, k, offsets = self._factor_ball(center, radius, max_visited)
-        make, product = self.vertex, self._product_distance
-        return {make(b, k + dk): product(d, dk) for b, d in arcs.items() for dk in offsets}
+        """Vertex -> distance within the radius, in (distance, sort_key) order.
+
+        The arcs are sorted once; each distance's vertices are collected in
+        arc order with twists ascending, so no product vertex is sorted.
+        """
+        order, rows, k, offsets = self._factor_ball(center, radius, max_visited)
+        levels: dict[int, list[V]] = {}
+        make = self.vertex
+        for b, row in zip(order, rows):
+            for dk, d in zip(offsets, row):
+                levels.setdefault(d, []).append(make(b, k + dk))
+        return {v: d for d in sorted(levels) for v in levels[d]}
 
     def document(
         self, center: V, radius: int, *, max_visited: int = DEFAULT_MAX_VISITED
@@ -280,9 +302,9 @@ class TwistedGraph(ImplicitGraph[V]):
         # Members sort by arc, then twist, so (arc p, offset x) has index
         # p * width + x.  Edges leave i = (p, x) upward to later twists of
         # arc p, then to twists x +- gap of each later adjacent arc q: in
-        # that order j ascends, so the edge list comes out sorted.
-        arcs, k, offsets = self._factor_ball(center, radius, max_visited)
-        order = sorted(arcs, key=stern_brocot_key)
+        # that order j ascends, so the edge list comes out sorted.  A label
+        # is its arc's text plus its offset's "@twist" text.
+        order, rows, k, offsets = self._factor_ball(center, radius, max_visited)
         index = {b: p for p, b in enumerate(order)}
         width, gap = len(offsets), self.twist_gap
         edges = []
@@ -293,10 +315,10 @@ class TwistedGraph(ImplicitGraph[V]):
                 edges += [(i, p * width + y) for y in range(x + 1, hi)]
                 for base in later:
                     edges += [(i, base + y) for y in range(lo, hi)]
-        make, label, product = self.vertex, self.serialize_vertex, self._product_distance
-        labels = tuple(label(make(b, k + dk)) for b in order for dk in offsets)
-        dists = [product(arcs[b], dk) for b in order for dk in offsets]
-        center_s = label(center)
+        twists = [f"@{k + dk}{self.suffix}" for dk in offsets]
+        labels = tuple(arc + twist for arc in map(format_slope, order) for twist in twists)
+        center_s = self.serialize_vertex(center)
+        dists = (d for row in rows for d in row)
         return GraphDocument(
             graph=self.name,
             vertices=labels,

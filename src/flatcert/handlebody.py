@@ -106,6 +106,7 @@ class SpottedDiskGraph(TwistedGraph[SpottedDisk]):
 
     name = "omega(g=2)"
     vertex_type = SpottedDisk
+    suffix = ""
 
     def __init__(self, height_cap: int, *, twist_gap: int = 1):
         super().__init__(height_cap)
@@ -115,9 +116,6 @@ class SpottedDiskGraph(TwistedGraph[SpottedDisk]):
 
     def _split(self, v: SpottedDisk) -> tuple[Slope, int]:
         return v.arc, v.twists
-
-    def serialize_vertex(self, v: SpottedDisk) -> str:
-        return format_spotted_disk(v)
 
     def parse_vertex(self, text: str) -> SpottedDisk:
         return parse_spotted_disk(text)

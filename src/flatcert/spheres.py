@@ -19,7 +19,6 @@ from .slopes import (
     TwistUnit,
     UnitError,
     format_slope,
-    format_spotted_arc,
     parse_int,
     parse_slope,
     parse_spotted_arc,
@@ -68,12 +67,10 @@ class SphereGraph(TwistedGraph[SpottedSphere]):
 
     name = "sphere(g=2)"
     vertex_type = SpottedSphere
+    suffix = ":sph"
 
     def _split(self, v: SpottedSphere) -> tuple[Slope, int]:
         return v.arc, v.half_twists
-
-    def serialize_vertex(self, v: SpottedSphere) -> str:
-        return format_spotted_sphere(v)
 
     def parse_vertex(self, text: str) -> SpottedSphere:
         return parse_spotted_sphere(text)
@@ -84,6 +81,7 @@ class SpottedArcGraph(TwistedGraph[SpottedArc]):
 
     name = "spotted-arc(g=2)"
     vertex_type = SpottedArc
+    suffix = ":half"
 
     def _split(self, v: SpottedArc) -> tuple[Slope, int]:
         return v.base, v.twist
@@ -93,9 +91,6 @@ class SpottedArcGraph(TwistedGraph[SpottedArc]):
 
     def contains(self, v) -> bool:
         return super().contains(v) and v.unit is TwistUnit.HALF
-
-    def serialize_vertex(self, v: SpottedArc) -> str:
-        return format_spotted_arc(v)
 
     def parse_vertex(self, text: str) -> SpottedArc:
         arc = parse_spotted_arc(text)

@@ -10,7 +10,6 @@ demonstrate that the checks would catch it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -308,22 +307,40 @@ def _check_farey_walk(rng: random.Random, graph_type: type) -> CheckResult:
 
     Every ordered pair of height <= 6 is compared at caps 1-4, so ">=c"
     answers and cap errors occur, and 40 random pairs at height 60 at cap 16.
+    The small pairs read one BFS ball of radius 4 per target: below the
+    distance a cap gives the engine's cap error, and at or above it the
+    distance and least geodesic do not depend on the cap.  The random pairs
+    take one search each (:func:`engine.sample_distances`).
     """
     small = sorted(
         {canonicalize(p, q) for p in range(-6, 7) for q in range(7) if (p, q) != (0, 0)},
         key=stern_brocot_key,
     )
-    cases = [(6, cap, a, b) for a, b in itertools.product(small, repeat=2) for cap in range(1, 5)]
-    cases += [(60, 16, _random_slope(rng), _random_slope(rng)) for _ in range(40)]
-    graphs = {h: (graph_type(h), FareyGraph(h)) for h in (6, 60)}
+    bfs = FareyGraph(6)
+    balls = {b: engine.ball(bfs, b, 4) for b in small}
+    expected = []
+    for a, b in itertools.product(small, repeat=2):
+        d = balls[b].get(a)
+        path = None if d is None else engine._least_geodesic(bfs, balls[b], a)
+        for cap in range(1, 5):
+            if path is not None and d <= cap:
+                expected.append(((6, cap, a, b), (d, " ".join(map(format_slope, path)))))
+            else:
+                error = engine._distance_cap_error(bfs, a, b, cap)
+                expected.append(((6, cap, a, b), (AtLeast(cap + 1), str(error))))
+    pairs = [(_random_slope(rng), _random_slope(rng)) for _ in range(40)]
+    bfs = FareyGraph(60)
+    for rec in engine.sample_distances(bfs, pairs, 16).records:
+        if rec.path is None:
+            text = str(engine._distance_cap_error(bfs, rec.source, rec.target, 16))
+        else:
+            text = " ".join(map(format_slope, rec.path))
+        expected.append(((60, 16, rec.source, rec.target), (rec.distance, text)))
+    walks = {h: graph_type(h) for h in (6, 60)}
     bad = []
-    for h, cap, a, b in cases:
-        walk, bfs = graphs[h]
+    for (h, cap, a, b), want in expected:
+        walk = walks[h]
         got = (walk.distance(a, b, cap), _geodesic_text(walk.geodesic, a, b, cap))
-        want = (
-            engine.bfs_distance(bfs, a, b, cap),
-            _geodesic_text(functools.partial(engine.geodesic, bfs), a, b, cap),
-        )
         if got != want:
             bad.append(
                 f"({a}, {b}) at height {h}, cap {cap}: walk {got[0]} [{got[1]}], "

@@ -8,6 +8,7 @@ come from level-by-level BFS over numpy masks.
 
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,6 +21,20 @@ def all_slopes(height):
             if math.gcd(abs(p), q) == 1:
                 out.add((p, q))
     return sorted(out)
+
+
+def raw_stern_brocot_key(pq):
+    """The mediant-tree order by its definition: infinity first, then depth
+    (the sum of the continued-fraction quotients of |p|/q), then numeric
+    value as an exact fraction."""
+    p, q = pq
+    if q == 0:
+        return (-1, Fraction(0))
+    a, b, depth = abs(p), q, 0
+    while b:
+        depth += a // b
+        a, b = b, a % b
+    return (depth, Fraction(p, q))
 
 
 def neighbors_bf(pq, height):

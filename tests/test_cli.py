@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from flatcert.cli import main
-from flatcert.engine import GraphDocument
+from flatcert.engine import GraphDocument, ball
+from flatcert.handlebody import SpottedDiskGraph, format_spotted_disk, parse_spotted_disk
+from oracles import raw_stern_brocot_key
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +65,20 @@ class TestBasicCommands:
         lines = [line.split() for line in out.strip().splitlines()]
         assert lines[0] == ["0/1@0", "0"]
         assert all(d == "1" for _, d in lines[1:])
+        # The whole output is the BFS ball sorted by distance, the raw
+        # Stern-Brocot key and the twist, in the disk's own text.
+        for center, radius, height in (("0/1@0", 1, 2), ("-1/2@-3", 2, 5), ("inf@7", 3, 4)):
+            code, out, _ = run_cli(
+                capsys, "omega", "ball", "--height-cap", str(height), "--", center, str(radius)
+            )
+            members = ball(SpottedDiskGraph(height), parse_spotted_disk(center), radius)
+            want = sorted(
+                members.items(),
+                key=lambda item: (item[1], raw_stern_brocot_key((item[0].arc.p, item[0].arc.q)),
+                                  item[0].twists),
+            )
+            assert code == 0
+            assert out == "".join(f"{format_spotted_disk(v)} {d}\n" for v, d in want)
 
     def test_push_variants(self, capsys):
         assert run_cli(capsys, "push", "0/1@0", "5")[1].strip() == "0/1@5"

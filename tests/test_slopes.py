@@ -1,10 +1,10 @@
+import functools
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flatcert import (
     INFINITY,
@@ -31,7 +31,7 @@ from flatcert import (
     spot_forget,
     stern_brocot_key,
 )
-from oracles import all_slopes, neighbors_bf
+from oracles import all_slopes, neighbors_bf, raw_stern_brocot_key
 from util import S, random_half_arc, random_slope
 
 nonzero_pairs = st.tuples(
@@ -50,19 +50,6 @@ def _canonical_pairs(height):
 huge_slopes = st.one_of(
     st.just((1, 0)), _canonical_pairs(10**9), _canonical_pairs(300)
 )
-
-
-def _raw_stern_brocot_key(pq):
-    """Infinity first, then depth (sum of continued-fraction quotients of
-    |p|/q), then numeric value."""
-    p, q = pq
-    if q == 0:
-        return (-1, Fraction(0))
-    a, b, depth = abs(p), q, 0
-    while b:
-        depth += a // b
-        a, b = b, a % b
-    return (depth, Fraction(p, q))
 
 
 class TestCanonicalize:
@@ -130,6 +117,111 @@ class TestSternBrocotOrder:
         assert stern_brocot_key(s)[0] == stern_brocot_key(m)[0]
 
 
+def _quotients(p, q):
+    """The continued-fraction quotients of |p|/q, by Euclid."""
+    a, b, out = abs(p), q, []
+    while b:
+        out.append(a // b)
+        a, b = b, a % b
+    return out
+
+
+def _run_key(pq, *, alternate=True, adjust=True):
+    """The integer key rebuilt from its definition, with its sign alternation
+    or its +-1 run adjustment optionally left out (the negative controls)."""
+    p, q = pq
+    if q == 0:
+        return (-1,)
+    if p == 0:
+        return (0,)
+    runs = _quotients(p, q)
+    if adjust and len(runs) > 1:
+        runs[0] += 1
+        runs[-1] -= 1
+    s = 1 if p > 0 else -1
+    signs = [s * (-1) ** i if alternate else s for i in range(len(runs))]
+    return (sum(runs), *[r * sign for r, sign in zip(runs, signs)])
+
+
+def _first_misorder(key, slopes):
+    """The first neighbors in raw-key order that key does not put strictly
+    in order, or None: None means key orders slopes exactly as the raw key
+    does, with no ties."""
+    ordered = sorted(slopes, key=raw_stern_brocot_key)
+    keys = [key(pq) for pq in ordered]
+    for i in range(len(keys) - 1):
+        if not keys[i] < keys[i + 1]:
+            return ordered[i], ordered[i + 1]
+    return None
+
+
+def _sb_key(pq):
+    return stern_brocot_key(S(*pq))
+
+
+@st.composite
+def key_pairs(draw):
+    """Two canonical (p, q) of height up to about 10**18.  In about half the
+    draws the second has the first's continued-fraction quotients permuted
+    and a random sign, so it has the same depth (a zero or one quotient
+    moved inside a continued fraction merges two neighbors, keeping the
+    sum) and the comparison reaches past the depth."""
+    first = draw(st.one_of(st.just((1, 0)), _canonical_pairs(10**18), _canonical_pairs(50)))
+    if first[1] == 0 or draw(st.booleans()):
+        return first, draw(st.one_of(_canonical_pairs(10**18), _canonical_pairs(50)))
+    perm = draw(st.permutations(_quotients(*first)))
+    assume(perm[-1] != 0)
+    num, den = perm[-1], 1
+    for a in reversed(perm[:-1]):
+        num, den = a * num + den, num
+    sign = draw(st.sampled_from((1, -1)))
+    second = canonicalize(sign * num, den)
+    return first, (second.p, second.q)
+
+
+class TestIntegerKey:
+    """``stern_brocot_key`` is all integers and orders slopes as the raw
+    (depth, Fraction) key does.  Exports and balls also sort by it, and the
+    breadth-first checkers sort by the same key, so only these tests can
+    catch a wrong order."""
+
+    def test_encoding(self):
+        assert _sb_key((1, 0)) == (-1,)
+        assert _sb_key((0, 1)) == (0,)
+        assert _sb_key((5, 1)) == (5, 5) and _sb_key((-5, 1)) == (5, -5)
+        # 3/2 = [1; 2]: right twice, then left once.
+        assert _sb_key((3, 2)) == (3, 2, -1)
+        # -2/7 = [0; 3, 2]: left once (away from 0), right 3 times, left once.
+        assert _sb_key((-2, 7)) == (5, -1, 3, -1)
+
+    def test_every_slope_of_height_60_in_raw_order(self):
+        slopes = all_slopes(60)
+        assert (1, 0) in slopes
+        assert _first_misorder(_sb_key, slopes) is None
+        for pq in slopes:
+            key = _sb_key(pq)
+            assert key == _run_key(pq)
+            assert all(type(x) is int for x in key)
+            assert key[0] == raw_stern_brocot_key(pq)[0]
+
+    @pytest.mark.parametrize("broken", [
+        functools.partial(_run_key, alternate=False),
+        functools.partial(_run_key, adjust=False),
+    ], ids=["no-sign-alternation", "no-run-adjustment"])
+    def test_the_order_check_rejects_a_broken_key(self, broken):
+        assert _first_misorder(broken, all_slopes(60)) is not None
+
+    @settings(max_examples=500, deadline=None)
+    @given(key_pairs())
+    def test_agrees_with_the_raw_key_up_to_height_10_18(self, pair):
+        a, b = pair
+        ka, kb = _sb_key(a), _sb_key(b)
+        ra, rb = raw_stern_brocot_key(a), raw_stern_brocot_key(b)
+        assert (ka < kb) == (ra < rb)
+        assert (ka == kb) == (a == b)
+        assert ka[0] == ra[0] and kb[0] == rb[0]
+
+
 class TestFareyNeighbors:
     def test_examples(self):
         assert set(farey_neighbors(S(0, 1), 2)) == {
@@ -186,7 +278,7 @@ class TestFareyNeighbors:
         got = [(s.p, s.q) for s in out]
         assert len(set(got)) == len(got)
         assert set(got) == expected
-        assert got == sorted(got, key=_raw_stern_brocot_key)
+        assert got == sorted(got, key=raw_stern_brocot_key)
 
 
 # Slopes for the stream's large-cap test: infinity, integers up to 10**18,
@@ -220,7 +312,7 @@ def _first_neighbors_by_scan(pq, cap, k):
         # Integers n at depth |n|: |n| <= k holds at least the k first.
         reach = min(cap, k)
         found = [(x, 1) for x in range(-reach, reach + 1)]
-        return sorted(found, key=_raw_stern_brocot_key)[:k]
+        return sorted(found, key=raw_stern_brocot_key)[:k]
     found = [(1, 0)] if q == 1 else []
     last_y = min(cap, q * (k + 2))
     for y in range(1, last_y + 1):
@@ -228,11 +320,11 @@ def _first_neighbors_by_scan(pq, cap, k):
             num = p * y - eps
             if num % q == 0 and abs(num // q) <= cap:
                 found.append((num // q, y))
-    found = sorted(found, key=_raw_stern_brocot_key)[:k]
+    found = sorted(found, key=raw_stern_brocot_key)[:k]
     if last_y < cap and len(found) == k:
-        depth_a = _raw_stern_brocot_key(pq)[0]
+        depth_a = raw_stern_brocot_key(pq)[0]
         unseen_depth = depth_a + -(-(last_y + 1) // q) - 1
-        assert _raw_stern_brocot_key(found[-1])[0] < unseen_depth
+        assert raw_stern_brocot_key(found[-1])[0] < unseen_depth
     return found
 
 
@@ -242,7 +334,7 @@ class TestFareyNeighborStream:
         # each smaller cap.
         for p, q in all_slopes(40):
             a = S(p, q)
-            brute = sorted(neighbors_bf((p, q), 60), key=_raw_stern_brocot_key)
+            brute = sorted(neighbors_bf((p, q), 60), key=raw_stern_brocot_key)
             for cap in range(1, 61):
                 want = [b for b in brute if max(abs(b[0]), b[1]) <= cap]
                 got = [(s.p, s.q) for s in iter_farey_neighbors(a, cap)]

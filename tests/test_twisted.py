@@ -18,7 +18,7 @@ from flatcert.engine import (
     bfs_distance,
     document_from_ball,
 )
-from oracles import all_slopes, neighbors_bf
+from oracles import all_slopes, neighbors_bf, raw_stern_brocot_key
 from util import S
 
 twisted_graphs = pytest.mark.parametrize(
@@ -108,6 +108,34 @@ def test_ball_equals_bfs(graph, radius):
 def test_document_equals_bfs(graph, radius):
     for c in centers(graph):
         assert graph.document(c, radius) == document_from_ball(graph, c, radius)
+
+
+@twisted_graphs
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_ball_comes_in_distance_then_raw_key_then_twist_order(graph, radius):
+    # The CLI prints a ball in its dict order, with no sort of its own.
+    def raw_order(item):
+        v, d = item
+        arc, twist = graph._split(v)
+        return d, raw_stern_brocot_key((arc.p, arc.q)), twist
+
+    for c in centers(graph):
+        items = list(graph.ball(c, radius).items())
+        assert items == sorted(items, key=raw_order)
+
+
+@twisted_graphs
+def test_document_labels_are_the_vertex_texts(graph):
+    # The document formats each arc once and appends "@twist" texts; each
+    # label must be serialize_vertex of its vertex, which is the vertex
+    # type's own text and parses back to the vertex.
+    for c in centers(graph):
+        doc = graph.document(c, 2)
+        members = sorted(graph.ball(c, 2), key=graph.sort_key)
+        assert list(doc.vertices) == [graph.serialize_vertex(v) for v in members]
+        assert list(doc.vertices) == [str(v) for v in members]
+        assert [graph.parse_vertex(label) for label in doc.vertices] == members
+        assert {u for u, _, _ in doc.distances} == {str(c)}
 
 
 @twisted_graphs
