@@ -19,7 +19,6 @@ from .engine import (
     bfs_distance,
     bidirectional_distance,
     document_from_ball,
-    document_from_sample,
     geodesic,
     sample_distances,
 )

@@ -68,14 +68,17 @@ def load_config(path: str) -> dict:
 
 
 def _resolve(args, config: dict, attr: str, key: str):
-    flag = getattr(args, attr, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        if not isinstance(config[key], int):
-            raise UsageError(f"config value {key} = {config[key]!r} is not a decimal integer")
-        return config[key]
-    return _BUILTIN_DEFAULTS[key]
+    value = getattr(args, attr, None)
+    if value is None and key in config:
+        value = config[key]
+        if not isinstance(value, int):
+            raise UsageError(f"config value {key} = {value!r} is not a decimal integer")
+    if value is None:
+        value = _BUILTIN_DEFAULTS[key]
+    # A budget of 0 still searches the center; below that there is no search.
+    if key == "max-visited" and value < 0:
+        raise UsageError(f"max-visited must be >= 0, got {value}")
+    return value
 
 
 def build_graph(kind: str, height_cap: int):

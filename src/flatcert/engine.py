@@ -456,10 +456,6 @@ class GraphDocument:
         return "\n".join(lines) + "\n"
 
 
-def _encode_distance(d: Distance) -> Union[int, str]:
-    return str(d) if isinstance(d, AtLeast) else d
-
-
 def document_from_ball(
     g: ImplicitGraph[V],
     center: V,
@@ -483,35 +479,4 @@ def document_from_ball(
         vertices=tuple(g.serialize_vertex(v) for v in members),
         edges=tuple(sorted(edges)),
         distances=tuple((center_s, g.serialize_vertex(v), dist[v]) for v in members),
-    )
-
-
-def document_from_sample(g: ImplicitGraph[V], sample: MetricSample[V]) -> GraphDocument:
-    """Snapshot of a distance sample: endpoints, witness-path edges, distances."""
-    seen: set[V] = set()
-    for rec in sample.records:
-        seen.add(rec.source)
-        seen.add(rec.target)
-        if rec.path:
-            seen.update(rec.path)
-    members = sorted(seen, key=g.sort_key)
-    index = {v: i for i, v in enumerate(members)}
-    edges = set()
-    for rec in sample.records:
-        if rec.path:
-            for a, b in zip(rec.path, rec.path[1:]):
-                i, j = index[a], index[b]
-                edges.add((i, j) if i < j else (j, i))
-    return GraphDocument(
-        graph=g.name,
-        vertices=tuple(g.serialize_vertex(v) for v in members),
-        edges=tuple(sorted(edges)),
-        distances=tuple(
-            (
-                g.serialize_vertex(rec.source),
-                g.serialize_vertex(rec.target),
-                _encode_distance(rec.distance),
-            )
-            for rec in sample.records
-        ),
     )

@@ -37,9 +37,11 @@ from .slopes import (
     farey_distance,
     farey_neighbors,
     format_slope,
+    format_twisted,
     iter_farey_neighbors,
     pairing,
     parse_slope,
+    parse_twisted,
     stern_brocot_key,
 )
 
@@ -163,10 +165,11 @@ class TwistedGraph(ImplicitGraph[V]):
     (a, k) ~ (b, l) iff the vertices are distinct, the arcs are disjoint and
     |k - l| <= twist_gap; vertices sort by (arc's Stern-Brocot key, twist).
     ``twist_gap`` is 1 in every model; only the suites' negative controls
-    widen it.  Subclasses supply the codec: ``name``, ``vertex_type``,
-    ``suffix`` (the text after ``p/q@k``), ``_split(v) -> (arc, twist)``
-    and ``parse_vertex``.  ``vertex(arc, twist)``, the inverse of
-    ``_split``, calls ``vertex_type(arc, twist)``.
+    widen it, in subclasses.  Subclasses supply the codec: ``name``,
+    ``vertex_type``, ``suffix`` (the text after ``p/q@k``), ``kind`` (the
+    vertex's name in parse errors) and ``_split(v) -> (arc, twist)``.
+    ``vertex(arc, twist)``, the inverse of ``_split``, calls
+    ``vertex_type(arc, twist)``.  The text is :func:`format_twisted`'s.
 
     ``distance`` answers from :func:`farey_distance`, and ``ball`` and
     ``document`` from the factor graph ``farey``, by the strong-product
@@ -178,6 +181,7 @@ class TwistedGraph(ImplicitGraph[V]):
     name: str
     vertex_type: type
     suffix: str
+    kind: str
     twist_gap = 1
 
     def __init__(self, height_cap: int):
@@ -194,8 +198,10 @@ class TwistedGraph(ImplicitGraph[V]):
         return self.vertex_type(arc, twist)
 
     def serialize_vertex(self, v: V) -> str:
-        arc, k = self._split(v)
-        return f"{format_slope(arc)}@{k}{self.suffix}"
+        return format_twisted(*self._split(v), self.suffix)
+
+    def parse_vertex(self, text: str) -> V:
+        return self.vertex(*parse_twisted(text, self.suffix, self.kind))
 
     def contains(self, v: V) -> bool:
         return (

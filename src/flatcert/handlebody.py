@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 from .engine import Distance, AtLeast
 from .fareygraph import FareyGraph, TwistedGraph
-from .slopes import (
-    ArcSystem,
-    Slope,
-    format_slope,
-    parse_int,
-    parse_slope,
-    stern_brocot_key,
-)
+from .slopes import ArcSystem, Slope, format_twisted, parse_twisted, stern_brocot_key
 
 
 @dataclass(frozen=True)
@@ -98,27 +91,15 @@ def annular_intersection(k: int, ell: int) -> int:
 
 
 class SpottedDiskGraph(TwistedGraph[SpottedDisk]):
-    """The union of all twisted copies of the arc-disk family, as a graph.
-
-    ``twist_gap`` widens the twist rule and exists only so the verification
-    suite can prove it would catch a wrong rule.
-    """
+    """The union of all twisted copies of the arc-disk family, as a graph."""
 
     name = "omega(g=2)"
     vertex_type = SpottedDisk
     suffix = ""
-
-    def __init__(self, height_cap: int, *, twist_gap: int = 1):
-        super().__init__(height_cap)
-        if twist_gap < 1:
-            raise ValueError("twist_gap must be >= 1")
-        self.twist_gap = twist_gap
+    kind = "spotted disk"
 
     def _split(self, v: SpottedDisk) -> tuple[Slope, int]:
         return v.arc, v.twists
-
-    def parse_vertex(self, text: str) -> SpottedDisk:
-        return parse_spotted_disk(text)
 
 
 def l1_distance(farey: FareyGraph, x: SpottedDisk, y: SpottedDisk, cap: int) -> Distance:
@@ -138,15 +119,8 @@ def l1_distance(farey: FareyGraph, x: SpottedDisk, y: SpottedDisk, cap: int) -> 
 
 
 def format_spotted_disk(x: SpottedDisk) -> str:
-    return f"{format_slope(x.arc)}@{x.twists}"
+    return format_twisted(x.arc, x.twists, SpottedDiskGraph.suffix)
 
 
 def parse_spotted_disk(text: str) -> SpottedDisk:
-    t = text.strip()
-    arc_part, sep, twist_part = t.rpartition("@")
-    if not sep:
-        raise ValueError(f"not a spotted disk: {text!r}")
-    try:
-        return SpottedDisk(parse_slope(arc_part), parse_int(twist_part))
-    except ValueError as exc:
-        raise ValueError(f"not a spotted disk: {text!r}") from exc
+    return SpottedDisk(*parse_twisted(text, SpottedDiskGraph.suffix, SpottedDiskGraph.kind))

@@ -347,6 +347,7 @@ class ArcSystem:
 # --- text formats ----------------------------------------------------------
 #
 # Slope            "p/q"            ("inf" for 1/0)
+# twisted vertex   "p/q@k<suffix>"  (see format_twisted)
 # SpottedArc       "p/q@k:full"     or "p/q@k:half"
 
 
@@ -380,18 +381,34 @@ def parse_slope(text: str) -> Slope:
         raise ValueError(f"not a slope: {text!r}") from exc
 
 
+def format_twisted(arc: Slope, twist: int, suffix: str) -> str:
+    """The text of an arc with a twist count: "p/q@k" and the model's suffix
+    ("" for a spotted disk, ":sph" for a sphere, ":full" or ":half" for a
+    spotted arc)."""
+    return f"{format_slope(arc)}@{twist}{suffix}"
+
+
+def parse_twisted(text: str, suffix: str, kind: str) -> tuple[Slope, int]:
+    """(arc, twist) from the text of :func:`format_twisted` with this suffix.
+
+    Surrounding whitespace is ignored, and so is whitespace around the
+    slope and the twist.  Anything else, a different suffix included,
+    raises ValueError "not a <kind>: <text>".
+    """
+    t = text.strip()
+    arc_part, sep, twist_part = t[: len(t) - len(suffix)].rpartition("@")
+    if not (sep and t.endswith(suffix)):
+        raise ValueError(f"not a {kind}: {text!r}")
+    try:
+        return parse_slope(arc_part), parse_int(twist_part)
+    except ValueError as exc:
+        raise ValueError(f"not a {kind}: {text!r}") from exc
+
+
 def format_spotted_arc(x: SpottedArc) -> str:
-    return f"{format_slope(x.base)}@{x.twist}:{x.unit.value}"
+    return format_twisted(x.base, x.twist, f":{x.unit.value}")
 
 
 def parse_spotted_arc(text: str) -> SpottedArc:
-    t = text.strip()
-    base_part, sep, rest = t.rpartition("@")
-    if not sep or ":" not in rest:
-        raise ValueError(f"not a spotted arc: {text!r}")
-    twist_part, unit_part = rest.split(":", 1)
-    try:
-        unit = TwistUnit(unit_part)
-        return SpottedArc(parse_slope(base_part), parse_int(twist_part), unit)
-    except ValueError as exc:
-        raise ValueError(f"not a spotted arc: {text!r}") from exc
+    unit = TwistUnit.HALF if text.strip().endswith(":half") else TwistUnit.FULL
+    return SpottedArc(*parse_twisted(text, f":{unit.value}", "spotted arc"), unit)

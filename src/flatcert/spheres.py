@@ -13,16 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fareygraph import TwistedGraph
-from .slopes import (
-    Slope,
-    SpottedArc,
-    TwistUnit,
-    UnitError,
-    format_slope,
-    parse_int,
-    parse_slope,
-    parse_spotted_arc,
-)
+from .slopes import Slope, SpottedArc, TwistUnit, UnitError, format_twisted, parse_twisted
 
 
 @dataclass(frozen=True)
@@ -68,12 +59,10 @@ class SphereGraph(TwistedGraph[SpottedSphere]):
     name = "sphere(g=2)"
     vertex_type = SpottedSphere
     suffix = ":sph"
+    kind = "spotted sphere"
 
     def _split(self, v: SpottedSphere) -> tuple[Slope, int]:
         return v.arc, v.half_twists
-
-    def parse_vertex(self, text: str) -> SpottedSphere:
-        return parse_spotted_sphere(text)
 
 
 class SpottedArcGraph(TwistedGraph[SpottedArc]):
@@ -82,6 +71,7 @@ class SpottedArcGraph(TwistedGraph[SpottedArc]):
     name = "spotted-arc(g=2)"
     vertex_type = SpottedArc
     suffix = ":half"
+    kind = "spotted arc"
 
     def _split(self, v: SpottedArc) -> tuple[Slope, int]:
         return v.base, v.twist
@@ -92,29 +82,13 @@ class SpottedArcGraph(TwistedGraph[SpottedArc]):
     def contains(self, v) -> bool:
         return super().contains(v) and v.unit is TwistUnit.HALF
 
-    def parse_vertex(self, text: str) -> SpottedArc:
-        arc = parse_spotted_arc(text)
-        if arc.unit is not TwistUnit.HALF:
-            raise ValueError(f"not a half-unit arc: {text!r}")
-        return arc
-
 
 # --- text format: SpottedSphere is "p/q@h:sph" -------------------------------
 
 
 def format_spotted_sphere(s: SpottedSphere) -> str:
-    return f"{format_slope(s.arc)}@{s.half_twists}:sph"
+    return format_twisted(s.arc, s.half_twists, SphereGraph.suffix)
 
 
 def parse_spotted_sphere(text: str) -> SpottedSphere:
-    t = text.strip()
-    if not t.endswith(":sph"):
-        raise ValueError(f"not a spotted sphere: {text!r}")
-    body = t[: -len(":sph")]
-    arc_part, sep, twist_part = body.rpartition("@")
-    if not sep:
-        raise ValueError(f"not a spotted sphere: {text!r}")
-    try:
-        return SpottedSphere(parse_slope(arc_part), parse_int(twist_part))
-    except ValueError as exc:
-        raise ValueError(f"not a spotted sphere: {text!r}") from exc
+    return SpottedSphere(*parse_twisted(text, SphereGraph.suffix, SphereGraph.kind))

@@ -2,10 +2,9 @@
 
 Each suite runs a battery of exhaustive and seeded-random checks and
 reports one pass/fail line per property group.  The failure-injection mode
-swaps a deliberately wrong component into the same battery (a widened
-twist rule, an intersection count without its offset, a Farey distance
-that skips a ladder rung, or the l1 sum in place of the product metric) to
-demonstrate that the checks would catch it.
+swaps a deliberately wrong component into the same battery to demonstrate
+that the checks would catch it; :data:`INJECTIONS` is the table of those
+swaps, one row per injection.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from . import engine
 from .engine import AtLeast
@@ -64,26 +63,6 @@ from .spheres import (
 )
 
 SUITE_NAMES = ("arc", "omega", "sphere", "all")
-
-INJECTIONS = {
-    # Widen the disk-graph twist rule to |dk| <= 2: must break product-metric.
-    "omega-twist-gap-2",
-    # Widen the sphere-graph twist rule to |dh| <= 2: must break the sphere
-    # circles table, doubling isomorphism and product metric.
-    "sphere-twist-gap-2",
-    # Drop the -2 offset from the annular intersection count: must break
-    # the intersection table.
-    "annular-no-offset",
-    # Skip the last mediant of the Farey distance oracle's final run: must
-    # break the farey-distance comparison with BFS.
-    "ladder-drop-rung",
-    # Answer twisted distances, balls and exports with arc + twist instead
-    # of the max: must break product-path in the omega and sphere suites.
-    "product-l1",
-    # Let the Farey graph's distance and ladder walk trust the
-    # ladder-drop-rung bound: must break the farey-walk comparison with BFS.
-    "walk-drop-rung",
-}
 
 
 @dataclass(frozen=True)
@@ -231,6 +210,12 @@ def _check_text_roundtrip(rng: random.Random) -> CheckResult:
         except ValueError:
             pass
     return _result("arc", "text-roundtrip", bad, "300 random roundtrips + junk rejected")
+
+
+class _DiskTwistGap2(SpottedDiskGraph):
+    """:class:`SpottedDiskGraph` with its twist rule widened to |dk| <= 2."""
+
+    twist_gap = 2
 
 
 class _SphereTwistGap2(SphereGraph):
@@ -385,13 +370,7 @@ def _check_product_path(suite: str, graph, center) -> CheckResult:
 # --- omega suite -------------------------------------------------------------
 
 
-def _product_metric_mismatches(
-    graph,
-    center,
-    radius: int,
-    arc_of: Callable,
-    twist_of: Callable,
-) -> tuple[list[str], int]:
+def _product_metric_mismatches(graph, center, radius: int) -> tuple[list[str], int]:
     """Exhaustively compare graph distance with max(arc distance, twist gap).
 
     Distances are recomputed per ball member by honest BFS out to twice the
@@ -400,16 +379,15 @@ def _product_metric_mismatches(
     members = engine.ball(graph, center, radius)
     ordered = sorted(members, key=graph.sort_key)
     farey = FareyGraph(graph.height_cap)
-    arcs = sorted({arc_of(v) for v in ordered}, key=stern_brocot_key)
+    arcs = sorted({graph._split(v)[0] for v in ordered}, key=stern_brocot_key)
     arc_dist = {a: engine.ball(farey, a, 2 * radius) for a in arcs}
     bad = []
     for idx, x in enumerate(ordered):
         reach = engine.ball(graph, x, 2 * radius)
+        a, k = graph._split(x)
         for y in ordered[idx + 1 :]:
-            expected = max(
-                arc_dist[arc_of(x)].get(arc_of(y), 2 * radius + 1),
-                abs(twist_of(x) - twist_of(y)),
-            )
+            b, ell = graph._split(y)
+            expected = max(arc_dist[a].get(b, 2 * radius + 1), abs(k - ell))
             got = reach.get(y, 2 * radius + 1)
             if got != expected:
                 bad.append(
@@ -421,9 +399,7 @@ def _product_metric_mismatches(
 
 def _check_omega_product_metric(graph_factory) -> CheckResult:
     graph = graph_factory(2)
-    bad, count = _product_metric_mismatches(
-        graph, SpottedDisk(canonicalize(0, 1), 0), 5, lambda v: v.arc, lambda v: v.twists
-    )
+    bad, count = _product_metric_mismatches(graph, SpottedDisk(canonicalize(0, 1), 0), 5)
     return _result(
         "omega", "product-metric", bad,
         f"max-metric exact on all pairs of a radius-5, {count}-vertex ball",
@@ -624,13 +600,7 @@ def _check_doubling_isomorphism(graph_factory) -> CheckResult:
 
 def _check_sphere_product_metric(graph_factory) -> CheckResult:
     graph = graph_factory(2)
-    bad, count = _product_metric_mismatches(
-        graph,
-        SpottedSphere(canonicalize(0, 1), 0),
-        5,
-        lambda v: v.arc,
-        lambda v: v.half_twists,
-    )
+    bad, count = _product_metric_mismatches(graph, SpottedSphere(canonicalize(0, 1), 0), 5)
     arc_graph = SpottedArcGraph(3)
     center = SpottedSphere(canonicalize(0, 1), 0)
     for v in sorted(engine.ball(graph, center, 2), key=graph.sort_key):
@@ -645,6 +615,37 @@ def _check_sphere_product_metric(graph_factory) -> CheckResult:
 
 # --- runner ------------------------------------------------------------------
 
+#: The components of the battery that an injection can swap.
+_COMPONENTS: dict[str, Any] = {
+    "disk_graph": SpottedDiskGraph,
+    "sphere_graph": SphereGraph,
+    "annular": annular_intersection,
+    "distance_oracle": farey_distance,
+    "walk_graph": FareyGraph,
+}
+
+#: injection -> {component: its wrong replacement}.
+INJECTIONS: dict[str, dict[str, Any]] = {
+    # Widen the disk-graph twist rule to |dk| <= 2: must break the product
+    # metric, the coordinate bijection's l1 bound and the annular table.
+    "omega-twist-gap-2": {"disk_graph": _DiskTwistGap2},
+    # Widen the sphere-graph twist rule to |dh| <= 2: must break the sphere
+    # circles table, doubling isomorphism and product metric.
+    "sphere-twist-gap-2": {"sphere_graph": _SphereTwistGap2},
+    # Drop the -2 offset from the annular intersection count: must break
+    # the intersection table.
+    "annular-no-offset": {"annular": lambda k, ell: 2 * abs(k - ell)},
+    # Skip the last mediant of the Farey distance oracle's final run: must
+    # break the farey-distance comparison with BFS.
+    "ladder-drop-rung": {"distance_oracle": _ladder_drop_rung},
+    # Answer twisted distances, balls and exports with arc + twist instead
+    # of the max: must break product-path in the omega and sphere suites.
+    "product-l1": {"disk_graph": _DiskProductL1, "sphere_graph": _SphereProductL1},
+    # Let the Farey graph's distance and ladder walk trust the
+    # ladder-drop-rung bound: must break the farey-walk comparison with BFS.
+    "walk-drop-rung": {"walk_graph": _WalkDropRung},
+}
+
 
 def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> SuiteReport:
     """Run one named property suite; see SUITE_NAMES and INJECTIONS."""
@@ -652,19 +653,8 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     if inject is not None and inject not in INJECTIONS:
         raise ValueError(f"unknown injection {inject!r}; expected one of {sorted(INJECTIONS)}")
-
-    twist_gap = 2 if inject == "omega-twist-gap-2" else 1
-    disk_graph_type = _DiskProductL1 if inject == "product-l1" else SpottedDiskGraph
-    disk_graph_factory = lambda cap: disk_graph_type(cap, twist_gap=twist_gap)
-    sphere_graph_factory = {
-        "sphere-twist-gap-2": _SphereTwistGap2,
-        "product-l1": _SphereProductL1,
-    }.get(inject, SphereGraph)
-    annular: Callable[[int, int], int] = annular_intersection
-    if inject == "annular-no-offset":
-        annular = lambda k, ell: 2 * abs(k - ell)
-    distance_oracle = _ladder_drop_rung if inject == "ladder-drop-rung" else farey_distance
-    walk_graph_type = _WalkDropRung if inject == "walk-drop-rung" else FareyGraph
+    use = {**_COMPONENTS, **INJECTIONS.get(inject, {})}
+    disk_graph, sphere_graph = use["disk_graph"], use["sphere_graph"]
 
     results: list[CheckResult] = []
     if name in ("arc", "all"):
@@ -676,31 +666,29 @@ def run_suite(name: str, *, rng_seed: int = 0, inject: Optional[str] = None) -> 
             _check_twist_actions(rng),
             _check_spot_forget(rng),
             _check_text_roundtrip(rng),
-            _check_farey_distance(rng, distance_oracle),
-            _check_farey_walk(rng, walk_graph_type),
+            _check_farey_distance(rng, use["distance_oracle"]),
+            _check_farey_walk(rng, use["walk_graph"]),
         ]
     if name in ("omega", "all"):
         rng = random.Random(rng_seed + 1)
         results += [
-            _check_omega_product_metric(disk_graph_factory),
-            _check_omega_coordinates(disk_graph_factory, rng),
+            _check_omega_product_metric(disk_graph),
+            _check_omega_coordinates(disk_graph, rng),
             _check_omega_retractions(rng),
-            _check_omega_push_automorphism(disk_graph_factory, rng),
-            _check_annular_table(annular, disk_graph_factory),
+            _check_omega_push_automorphism(disk_graph, rng),
+            _check_annular_table(use["annular"], disk_graph),
             _check_engine_consistency(rng),
-            _check_product_path(
-                "omega", disk_graph_factory(3), SpottedDisk(canonicalize(-1, 2), -3)
-            ),
+            _check_product_path("omega", disk_graph(3), SpottedDisk(canonicalize(-1, 2), -3)),
         ]
     if name in ("sphere", "all"):
         rng = random.Random(rng_seed + 2)
         results += [
-            _check_circles_table(sphere_graph_factory),
+            _check_circles_table(sphere_graph),
             _check_diagram_commutation(rng),
-            _check_doubling_isomorphism(sphere_graph_factory),
-            _check_sphere_product_metric(sphere_graph_factory),
+            _check_doubling_isomorphism(sphere_graph),
+            _check_sphere_product_metric(sphere_graph),
             _check_product_path(
-                "sphere", sphere_graph_factory(3), SpottedSphere(canonicalize(-1, 2), -3)
+                "sphere", sphere_graph(3), SpottedSphere(canonicalize(-1, 2), -3)
             ),
         ]
     return SuiteReport(suite=name, injection=inject, results=tuple(results))

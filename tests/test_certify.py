@@ -399,7 +399,7 @@ class TestSuites:
         report = suite_report("omega", inject="omega-twist-gap-2")
         assert not report.passed
         failed = {r.group for r in report.results if not r.passed}
-        assert "product-metric" in failed
+        assert failed == {"product-metric", "coordinate-bijection", "annular-table"}
 
     def test_annular_injection_breaks_intersection_table(self, suite_report):
         report = suite_report("omega", inject="annular-no-offset")

@@ -126,6 +126,23 @@ class TestExitCodes:
         )
         assert code == 3 and "budget" in err
 
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys):
+        # 0 searches the center only; a negative budget is refused before
+        # any search, whether it comes from the flag or the config file.
+        dist = ("omega", "dist", "0/1@0", "1/1@4", "--height-cap", "3")
+        export = ("export", "--graph", "omega", "--center", "0/1@0", "--radius", "2")
+        for argv in (dist, export):
+            code, out, err = run_cli(capsys, *argv, "--max-visited", "-5")
+            assert (code, out, err) == (2, "", "error: max-visited must be >= 0, got -5\n")
+        cfg = tmp_path / "c.toml"
+        cfg.write_text("[defaults]\nmax-visited = -1\n")
+        for argv in (dist, export):
+            code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+            assert (code, out, err) == (2, "", "error: max-visited must be >= 0, got -1\n")
+        assert run_cli(capsys, *dist, "--max-visited", "0")[:2] == (0, "4\n")
+        code, out, _ = run_cli(capsys, "omega", "ball", "0/1@0", "0", "--max-visited", "0")
+        assert (code, out) == (0, "0/1@0 0\n")
+
     def test_omega_dist_searches_only_the_farey_factor(self, capsys):
         # BFS over (arc, twist) pairs needs thousands of vertices to reach
         # twist 9; the Farey factor needs one level.

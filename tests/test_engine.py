@@ -18,7 +18,6 @@ from flatcert import (
     bfs_distance,
     bidirectional_distance,
     document_from_ball,
-    document_from_sample,
     farey_neighbors,
     geodesic,
     sample_distances,
@@ -193,10 +192,8 @@ class TestSampleAndExport:
         assert rec.path is None
         assert sample.edges > 0
 
-    def test_empty_sample_is_valid_empty_document(self):
-        g = FareyGraph(4)
-        doc = document_from_sample(g, sample_distances(g, [], 4))
-        assert doc.vertices == () and doc.edges == () and doc.distances == ()
+    def test_empty_document_roundtrips(self):
+        doc = GraphDocument(graph="farey", vertices=(), edges=(), distances=())
         assert GraphDocument.from_json(doc.to_json()) == doc
         assert doc.to_dot() == 'graph "farey" {\n}\n'
 

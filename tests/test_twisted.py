@@ -18,6 +18,10 @@ from flatcert.engine import (
     bfs_distance,
     document_from_ball,
 )
+from flatcert.handlebody import parse_spotted_disk
+from flatcert.slopes import parse_spotted_arc
+from flatcert.spheres import parse_spotted_sphere
+from flatcert.suites import _DiskTwistGap2
 from oracles import all_slopes, neighbors_bf, raw_stern_brocot_key
 from util import S
 
@@ -25,7 +29,7 @@ twisted_graphs = pytest.mark.parametrize(
     "graph",
     [
         SpottedDiskGraph(6),
-        SpottedDiskGraph(6, twist_gap=2),
+        _DiskTwistGap2(6),
         SphereGraph(6),
         SpottedArcGraph(6),
     ],
@@ -50,7 +54,7 @@ def test_neighbor_lists_are_the_strong_product_in_sort_key_order(graph):
 
 
 def test_models_keep_their_names():
-    assert SpottedDiskGraph(3, twist_gap=2).name == "omega(g=2)"
+    assert _DiskTwistGap2(3).name == "omega(g=2)"
     assert SphereGraph(3).name == "sphere(g=2)"
     assert SpottedArcGraph(3).name == "spotted-arc(g=2)"
     for g in (SpottedDiskGraph(3), SphereGraph(3), SpottedArcGraph(3)):
@@ -61,15 +65,88 @@ def test_rejects_bad_caps():
     for make in (SpottedDiskGraph, SphereGraph, SpottedArcGraph):
         with pytest.raises(ValueError):
             make(0)
-    with pytest.raises(ValueError):
-        SpottedDiskGraph(3, twist_gap=0)
 
 
-def test_only_the_disk_graph_takes_a_twist_gap():
-    assert SphereGraph(3).twist_gap == SpottedArcGraph(3).twist_gap == 1
-    for make in (SphereGraph, SpottedArcGraph):
+def test_no_twisted_graph_takes_a_twist_gap():
+    # A wider twist rule is set in one way only: a subclass's twist_gap.
+    for make in (SpottedDiskGraph, SphereGraph, SpottedArcGraph):
+        assert make(3).twist_gap == 1
         with pytest.raises(TypeError):
             make(3, twist_gap=2)
+
+
+# Each parser's error text for each rejected input.  A parser reads only its
+# own suffix, so a text with another model's suffix is rejected.
+CODEC_ERRORS = {
+    "spotted disk": (
+        [SpottedDiskGraph(3).parse_vertex, parse_spotted_disk],
+        {
+            "0/1@0:sph": "not a spotted disk: '0/1@0:sph'",
+            "0/1": "not a spotted disk: '0/1'",
+            "0/1@": "not a spotted disk: '0/1@'",
+            "0/1@1_0": "not a spotted disk: '0/1@1_0'",
+            "0/1@１": "not a spotted disk: '0/1@１'",
+            "0/1@3:sph:sph": "not a spotted disk: '0/1@3:sph:sph'",
+            "1/2@3:sideways": "not a spotted disk: '1/2@3:sideways'",
+        },
+    ),
+    "spotted sphere": (
+        [SphereGraph(3).parse_vertex, parse_spotted_sphere],
+        {
+            "0/1@0": "not a spotted sphere: '0/1@0'",
+            "0/1:sph": "not a spotted sphere: '0/1:sph'",
+            "0/1@:sph": "not a spotted sphere: '0/1@:sph'",
+            "0/1@1_0:sph": "not a spotted sphere: '0/1@1_0:sph'",
+            "0/1@１:sph": "not a spotted sphere: '0/1@１:sph'",
+            "0/1@3:sph:sph": "not a spotted sphere: '0/1@3:sph:sph'",
+            "1/2@3:sideways": "not a spotted sphere: '1/2@3:sideways'",
+        },
+    ),
+    "spotted arc": (
+        [SpottedArcGraph(3).parse_vertex, parse_spotted_arc],
+        {
+            "0/1:half": "not a spotted arc: '0/1:half'",
+            "0/1@:half": "not a spotted arc: '0/1@:half'",
+            "0/1@1_0:half": "not a spotted arc: '0/1@1_0:half'",
+            "0/1@１:half": "not a spotted arc: '0/1@１:half'",
+            "0/1@3:sph:sph": "not a spotted arc: '0/1@3:sph:sph'",
+            "0/1@3:half:half": "not a spotted arc: '0/1@3:half:half'",
+            "1/2@3:sideways": "not a spotted arc: '1/2@3:sideways'",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", CODEC_ERRORS)
+def test_codecs_reject_with_their_error_text(kind):
+    parsers, errors = CODEC_ERRORS[kind]
+    for parse in parsers:
+        for text, message in errors.items():
+            with pytest.raises(ValueError) as exc:
+                parse(text)
+            assert str(exc.value) == message, (parse, text)
+
+
+def test_a_codec_takes_only_its_own_suffix():
+    # Each text is valid for one model and rejected by the others; the
+    # module parser of spotted arcs also reads full units.
+    accepts = {
+        "0/1@0": {SpottedDiskGraph(3).parse_vertex, parse_spotted_disk},
+        "0/1@0:sph": {SphereGraph(3).parse_vertex, parse_spotted_sphere},
+        "0/1@0:half": {SpottedArcGraph(3).parse_vertex, parse_spotted_arc},
+        "0/1@0:full": {parse_spotted_arc},
+    }
+    every = set().union(*accepts.values())
+    for text, ok in accepts.items():
+        for parse in every:
+            if parse in ok:
+                assert str(parse(text)) == text
+            else:
+                with pytest.raises(ValueError, match="^not a "):
+                    parse(text)
+    with pytest.raises(ValueError) as exc:
+        SpottedArcGraph(3).parse_vertex("0/1@0:full")
+    assert str(exc.value) == "not a spotted arc: '0/1@0:full'"
 
 
 huge = st.integers(-(10**30), 10**30)
